@@ -21,12 +21,14 @@ from repro.core import (
     count_executions,
     run,
 )
+from repro.analysis.checkers import default_checker
 from repro.graphs import generators as gen
 from repro.graphs.properties import canonical_bfs_forest, is_rooted_mis
 from repro.protocols.bfs import SyncBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.protocols.mis import RootedMisProtocol
 from repro.protocols.sketching import SketchSpanningForestProtocol
+from repro.runtime.plan import ExecutionPlan
 
 
 def test_build_n512(benchmark):
@@ -119,6 +121,22 @@ CURVE_SIZES = (5, 6, 7, 8, 9)
 SCALAR_CLIFF = 7
 
 
+def _verify_seconds(graph, proto) -> float:
+    """Wall time of one exhaustive stress cell — every schedule
+    enumerated, decoded and checked, witnesses recorded — through the
+    production ``ExecutionTask.execute()``."""
+    [task] = ExecutionPlan.build(
+        proto, [SIMASYNC], [graph], mode="stress",
+        checker=default_checker("build-degenerate"),
+        exhaustive_threshold=graph.n).tasks
+    assert task.mode == "exhaustive"
+    t0 = time.perf_counter()
+    report = task.execute().report
+    seconds = time.perf_counter() - t0
+    assert report.ok and report.exhaustive_instances == 1
+    return seconds
+
+
 def test_scale_curve(benchmark, report_dir):
     """Exhaustive count_executions scaling: scalar vs batched vs sharded.
 
@@ -129,7 +147,9 @@ def test_scale_curve(benchmark, report_dir):
     sharded column (``jobs=2`` over the batched core) must agree with
     the batched count everywhere; its seconds only beat the batched
     column once real cores are available, so the curve records the
-    honest ratio for whatever machine produced it.
+    honest ratio for whatever machine produced it.  ``verify_seconds``
+    times what a verdict costs at each size — one exhaustive stress
+    cell, serial — next to the counting columns.
     """
     rows = []
     for n in CURVE_SIZES:
@@ -154,6 +174,7 @@ def test_scale_curve(benchmark, report_dir):
             "scalar_seconds": scalar_seconds,
             "batched_seconds": round(t_batched, 4),
             "sharded_seconds": round(t_sharded, 4),
+            "verify_seconds": round(_verify_seconds(g, proto), 4),
         })
     assert [row["executions"] for row in rows] == sorted(
         row["executions"] for row in rows

@@ -58,9 +58,10 @@ from ..encoding.bits import payload_bits, payload_key
 from ..faults.spec import FaultSpec, resolve_faults
 from ..telemetry import tracer as _trace
 from .errors import MessageTooLarge, ProtocolViolation
-from .execution import ExecutionState, RunResult
+from .execution import ExecutionState, RunResult, board_output
 from .models import MODELS_BY_NAME, ModelSpec
 from .protocol import NodeView, Protocol
+from .simulator import terminal_states
 from .whiteboard import BoardView, Entry, Whiteboard
 from ..graphs.labeled_graph import LabeledGraph
 
@@ -78,6 +79,7 @@ __all__ = [
     "run_schedule_lot",
     "sharded_all_executions",
     "sharded_count_executions",
+    "walk_lot",
 ]
 
 
@@ -184,6 +186,12 @@ class _BatchCell:
         #: Decode probe cache (DecodeFailure-style scoring), keyed by
         #: view id — boards with the same view id are identical.
         self._decode_cache: dict[int, bool] = {}
+
+        #: ``(output, output_error)`` per board multiset (sorted digest
+        #: ids) for order-invariant protocols — the scalar engine's
+        #: memo, through the same :func:`board_output`.
+        self._output_memo: Optional[dict] = (
+            {} if protocol.output_order_invariant else None)
 
         #: Static per-node records for simultaneous asynchronous models
         #: (frozen at round 0 against the empty board, like the scalar
@@ -962,6 +970,8 @@ class BatchedExecutionState:
         sched_l = self.sched.tolist() if self.sched is not None else None
         nodes = list(cell.graph.nodes())
         static = cell._static_rec
+        memo = cell._output_memo
+        key_id_of = cell._key_id_of
 
         def build(lane: int) -> RunResult:
             if sched_l is None:
@@ -996,14 +1006,12 @@ class BatchedExecutionState:
             output = None
             output_error = None
             if success:
-                view = BoardView(tuple(e.payload for e in entries))
-                if cell.faults.enabled:
-                    try:
-                        output = cell.proto.output(view, n)
-                    except Exception as exc:  # noqa: BLE001 - verdict
-                        output_error = f"{type(exc).__name__}: {exc}"
-                else:
-                    output = cell.proto.output(view, n)
+                output, output_error = board_output(
+                    cell.proto, (e.payload for e in entries), n,
+                    cell.faults.enabled, memo,
+                    tuple(sorted(key_id_of(rec) for rec in recs))
+                    if memo is not None else None,
+                )
             row = act_l[lane]
             activation = {v: row[v - 1] for v in sorted(
                 (v for v in nodes if row[v - 1] >= 0),
@@ -1280,32 +1288,50 @@ def _run_lot_batched(lot: ScheduleLot, model: ModelSpec):
 
 
 def _run_lot_scalar(lot: ScheduleLot, model: ModelSpec):
-    total = 0
-    groups: list[list[RunResult]] = []
-    for prefix in lot.prefixes:
-        state = ExecutionState.initial(lot.graph, lot.protocol, model,
-                                       lot.bit_budget, faults=lot.faults)
+    """Walk the lot's subtrees on one scalar state (one output memo for
+    the whole lot) with :func:`~repro.core.simulator.terminal_states`.
+
+    Counting lots return the terminal total.  Collecting lots return one
+    *lazy* iterator of :class:`RunResult` per prefix, in prefix order;
+    they share the live state, so each must be exhausted before the next
+    is started (exceptions surface while iterating).
+    """
+    state = ExecutionState.initial(lot.graph, lot.protocol, model,
+                                   lot.bit_budget, faults=lot.faults)
+    state.memoize_outputs()
+    root = state.snapshot()
+
+    def below(prefix: tuple[int, ...]) -> Iterator[ExecutionState]:
+        if state.depth != root.depth:
+            state.restore(root)
         for choice in prefix:
             state.advance(choice)
-        group: Optional[list[RunResult]] = [] if lot.collect else None
+        return terminal_states(state)
 
-        def dfs() -> int:
-            if state.terminal:
-                if group is not None:
-                    group.append(state.result())
-                return 1
-            count = 0
-            for choice in state.candidates:
-                checkpoint = state.snapshot()
-                state.advance(choice)
-                count += dfs()
-                state.restore(checkpoint)
-            return count
+    if not lot.collect:
+        return sum(sum(1 for _ in below(prefix)) for prefix in lot.prefixes)
 
-        total += dfs()
-        if group is not None:
-            groups.append(group)
-    return groups if lot.collect else total
+    def group(prefix: tuple[int, ...]) -> Iterator[RunResult]:
+        for leaf in below(prefix):
+            yield leaf.result()
+
+    return (group(prefix) for prefix in lot.prefixes)
+
+
+def walk_lot(lot: ScheduleLot):
+    """The lot's value: batched when the cell supports it, otherwise by
+    the scalar walk, which is also the authority when a batched lane
+    violates.  Counting lots give the terminal total; collecting lots
+    give per-prefix result iterables in prefix order — eager lists when
+    batched, lazy iterators to be consumed one after the other when
+    scalar.  Exceptions propagate raw, from here or while iterating."""
+    model = lot.model
+    if lot.batch and batch_supported(lot.graph, lot.protocol, model):
+        try:
+            return _run_lot_batched(lot, model)
+        except BatchAborted:
+            pass  # the scalar walk raises/collects authoritatively
+    return _run_lot_scalar(lot, model)
 
 
 def run_schedule_lot(lot: ScheduleLot):
@@ -1319,13 +1345,10 @@ def run_schedule_lot(lot: ScheduleLot):
     exactly the right point in DFS order.
     """
     try:
-        model = lot.model
-        if lot.batch and batch_supported(lot.graph, lot.protocol, model):
-            try:
-                return ("ok", _run_lot_batched(lot, model))
-            except BatchAborted:
-                pass  # scalar walk below raises/collects authoritatively
-        return ("ok", _run_lot_scalar(lot, model))
+        value = walk_lot(lot)
+        if lot.collect:
+            value = [list(group) for group in value]
+        return ("ok", value)
     except Exception as exc:  # noqa: BLE001 - marker, parent re-runs serial
         return ("error", f"{type(exc).__name__}: {exc}")
 

@@ -27,7 +27,12 @@ into an explicit state machine instead:
 * :meth:`ExecutionState.copy` forks an independent state (beam searches
   hold a frontier of them);
 * :meth:`ExecutionState.result` freezes a terminal configuration into a
-  :class:`RunResult`.
+  :class:`RunResult`.  Once :meth:`ExecutionState.memoize_outputs` is
+  called, protocols that declare
+  :attr:`~repro.core.protocol.Protocol.output_order_invariant` have
+  their output decoded once per distinct board multiset: the state (and
+  every :meth:`~ExecutionState.copy` of it) shares one memo keyed on
+  the sorted payload digests of the board (:func:`board_output`).
 
 ``run``, ``all_executions`` and ``count_executions`` in
 :mod:`repro.core.simulator` are thin drivers over this machine, as are
@@ -51,9 +56,10 @@ from ..graphs.labeled_graph import LabeledGraph
 from .errors import MessageTooLarge, ProtocolViolation, SchedulerError
 from .models import ModelSpec
 from .protocol import NodeView, Protocol
-from .whiteboard import Whiteboard
+from .whiteboard import BoardView, Whiteboard
 
-__all__ = ["RunResult", "ExecutionState", "Checkpoint", "replay_schedule"]
+__all__ = ["RunResult", "ExecutionState", "Checkpoint", "replay_schedule",
+           "board_output"]
 
 #: Distinguishes "cache entry was absent" from "cached value was None"
 #: when a crash undo restores a node's frozen-message caches.
@@ -152,6 +158,7 @@ class ExecutionState:
         "frozen_bits", "activation_round", "choices", "crashes_left",
         "losses_left", "dups_left", "last_event_bits", "last_event_total",
         "_journal", "_candidates", "_entry_keys", "_frozen_keys",
+        "_output_memo",
     )
 
     def __init__(self) -> None:  # use ExecutionState.initial(...)
@@ -176,7 +183,26 @@ class ExecutionState:
         proto = protocol.fresh()
         self.proto = proto
         self.stateless = proto is protocol
+        #: ``(output, output_error)`` per board multiset key; ``None``
+        #: until :meth:`memoize_outputs` arms it.
+        self._output_memo = None
         self._reset()
+        return self
+
+    def memoize_outputs(self) -> "ExecutionState":
+        """Decode each distinct board multiset once from now on; returns
+        ``self``.
+
+        For drivers that freeze many leaves of one cell (the exhaustive
+        walkers).  Engages only for stateless protocols that declare
+        ``output_order_invariant``; :meth:`copy` shares the memo.  A
+        one-shot replay is better off without it: digesting a fresh
+        board costs about half a BUILD decode, and nothing would reuse
+        it.
+        """
+        if (self._output_memo is None and self.stateless
+                and self.proto.output_order_invariant):
+            self._output_memo = {}
         return self
 
     def _reset(self) -> None:
@@ -369,10 +395,7 @@ class ExecutionState:
         payload the codec can encode (the same messages would be
         rejected by :meth:`advance` when written).
         """
-        keys = self._entry_keys
-        entries = self.board.entries
-        while len(keys) < len(entries):
-            keys.append(payload_key(entries[len(keys)].payload))
+        keys = self._board_keys()
         frozen_part = None
         if self.model.asynchronous:
             frozen_keys = self._frozen_keys
@@ -409,6 +432,38 @@ class ExecutionState:
                 (self.crashes_left, self.losses_left, self.dups_left),
             )
         return base
+
+    def _board_keys(self) -> list:
+        """Codec digests of the board entries, in board order (cached
+        per write event, truncated on undo)."""
+        keys = self._entry_keys
+        entries = self.board.entries
+        while len(keys) < len(entries):
+            keys.append(payload_key(entries[len(keys)].payload))
+        return keys
+
+    def _board_multiset_key(self) -> tuple:
+        """The board's payload multiset as a sorted digest tuple.
+
+        In asynchronous models every entry is its author's frozen
+        message, so the digests come from the per-writer
+        ``_frozen_keys`` cache — computed once per activation rather
+        than once per leaf.  Synchronous boards use the per-entry
+        cache.  Board payloads already passed the codec when written,
+        so the digest cannot fail here.
+        """
+        if not self.model.asynchronous:
+            return tuple(sorted(self._board_keys()))
+        frozen_keys = self._frozen_keys
+        keys = []
+        for entry in self.board.entries:
+            author = entry.author
+            key = frozen_keys.get(author)
+            if key is None:
+                key = frozen_keys[author] = payload_key(self.frozen[author])
+            keys.append(key)
+        keys.sort()
+        return tuple(keys)
 
     # -- the step relation --------------------------------------------
 
@@ -698,6 +753,7 @@ class ExecutionState:
         clone._candidates = self._candidates
         clone._entry_keys = list(self._entry_keys)
         clone._frozen_keys = dict(self._frozen_keys)
+        clone._output_memo = self._output_memo
         return clone
 
     # -- results -------------------------------------------------------
@@ -717,26 +773,22 @@ class ExecutionState:
         output = None
         output_error = None
         if success:
-            if self.faults.enabled:
-                # Faults can hand the decoder a board the protocol never
-                # promised to survive (missing, duplicated, or truncated
-                # entries); a decoder crash is a *verdict* — recorded,
-                # not raised.
-                try:
-                    output = self.proto.output(self.board.view(), self.graph.n)
-                except Exception as exc:  # noqa: BLE001
-                    output_error = f"{type(exc).__name__}: {exc}"
-            else:
-                output = self.proto.output(self.board.view(), self.graph.n)
-        frozen_board = Whiteboard(entries=list(self.board.entries))
+            memo = self._output_memo
+            output, output_error = board_output(
+                self.proto, (e.payload for e in self.board.entries),
+                self.graph.n, self.faults.enabled, memo,
+                self._board_multiset_key() if memo is not None else None,
+            )
+        entries = list(self.board.entries)
+        bits = [e.bits for e in entries]
         return RunResult(
             success=success,
             output=output,
-            board=frozen_board,
-            write_order=tuple(e.author for e in frozen_board.entries),
+            board=Whiteboard(entries=entries),
+            write_order=tuple([e.author for e in entries]),
             activation_round=dict(self.activation_round),
-            max_message_bits=frozen_board.max_bits(),
-            total_bits=frozen_board.total_bits(),
+            max_message_bits=max(bits, default=0),
+            total_bits=sum(bits),
             model=self.model,
             protocol_name=self.proto.name,
             n=self.graph.n,
@@ -744,6 +796,45 @@ class ExecutionState:
             crashed=frozenset(self.crashed),
             output_error=output_error,
         )
+
+
+def board_output(
+    proto: Protocol,
+    payloads: Iterable[Any],
+    n: int,
+    faulted: bool,
+    memo: Optional[dict] = None,
+    key: Any = None,
+) -> tuple[Any, Optional[str]]:
+    """``(output, output_error)`` of ``proto`` on a successful board.
+
+    ``payloads`` (board order) is read only when the output is actually
+    decoded.  Under a fault budget the decoder may meet a board the
+    protocol never promised to survive (missing, duplicated, or
+    truncated entries); a decoder crash is then a *verdict* — recorded
+    as ``output_error``, not raised.  Fault-free decoder crashes
+    propagate.
+
+    ``memo`` (``None`` disables it) maps ``key`` — the board's payload
+    multiset — to the pair, for protocols whose output depends on
+    nothing else.  A raising fault-free decode is never cached, so every
+    leaf that meets it raises.
+    """
+    if memo is not None:
+        pair = memo.get(key)
+        if pair is not None:
+            return pair
+    view = BoardView(tuple(payloads))
+    if faulted:
+        try:
+            pair = (proto.output(view, n), None)
+        except Exception as exc:  # noqa: BLE001 - a verdict, see above
+            pair = (None, f"{type(exc).__name__}: {exc}")
+    else:
+        pair = (proto.output(view, n), None)
+    if memo is not None:
+        memo[key] = pair
+    return pair
 
 
 def replay_schedule(

@@ -64,6 +64,21 @@ class Protocol(ABC):
     (``ASYNC``/``SYNC``).  The default activation rule — activate
     immediately — is what simultaneous protocols need and is also a valid
     (if eager) free-model behaviour.
+
+    A protocol whose ``output`` depends only on the *multiset* of board
+    payloads — never on their order — may declare it by setting
+    :attr:`output_order_invariant`; exhaustive runs then decode each
+    distinct board multiset once per walk (per lot, when a cell is
+    sharded) instead of once per schedule.
+    The declaration is a contract with three parts:
+
+    * ``output(board, n)`` (its value, or the exception it raises) is a
+      function of ``n`` and the payload multiset alone, including on
+      fault-perturbed boards with an entry missing or duplicated;
+    * the protocol is stateless (``fresh()`` returns ``self``) — the
+      engine ignores the flag otherwise;
+    * outputs are immutable, because one output object is shared by
+      every run that produced the same multiset.
     """
 
     #: Human-readable protocol name used in reports.
@@ -72,6 +87,12 @@ class Protocol(ABC):
     #: The weakest model family the protocol is designed for; purely
     #: informational (simulations may run it under any stronger model).
     designed_for: str = "SIMASYNC"
+
+    #: Whether ``output`` is a function of the board's payload multiset
+    #: (see the class docstring for the full contract).  A protocol
+    #: property like :attr:`designed_for`, set by the class, never by a
+    #: caller.
+    output_order_invariant: bool = False
 
     def fresh(self) -> "Protocol":
         """Return an instance safe to use for one execution.

@@ -21,14 +21,20 @@ module is its classic drivers:
 
 * :func:`run` walks one schedule chosen live by a
   :class:`~repro.core.schedulers.Scheduler`;
-* :func:`all_executions` enumerates *every* schedule by depth-first
-  search over adversary choices, turning the paper's "for all
-  adversaries" quantifier into a finite check on small graphs.  Each
-  branch point takes a :meth:`~repro.core.execution.ExecutionState.
-  snapshot`, applies one choice, recurses, and restores — for stateless
-  protocols (the default) that is O(1) checkpoint/undo, so every edge of
-  the schedule tree is executed exactly once; stateful protocol adapters
-  are restored by replay, which is always correct;
+* :func:`terminal_states` is the one depth-first walker of the schedule
+  tree: an explicit stack of ``(checkpoint, remaining choices)`` frames
+  steers a single live state through every terminal configuration
+  below it, ascending choice order at every branch.  Each branch takes
+  a :meth:`~repro.core.execution.ExecutionState.snapshot`, applies one
+  choice and, before the next sibling, restores — for stateless
+  protocols (the default) that is O(1) checkpoint/undo, so every edge
+  of the tree is executed exactly once; stateful protocol adapters are
+  restored by replay, which is always correct;
+* :func:`all_executions` turns that walk into one :class:`RunResult`
+  per schedule — the paper's "for all adversaries" quantifier as a
+  finite check on small graphs — and the lot workers of
+  :mod:`repro.core.batch` run the same walker below each schedule
+  prefix, counting or collecting;
 * :func:`count_executions` sizes the schedule tree.
 
 Guided searches that *don't* want to visit the whole tree (greedy,
@@ -50,7 +56,8 @@ from .models import ModelSpec
 from .protocol import Protocol
 from .schedulers import Scheduler
 
-__all__ = ["RunResult", "run", "all_executions", "count_executions"]
+__all__ = ["RunResult", "run", "terminal_states", "all_executions",
+           "count_executions"]
 
 
 def run(
@@ -85,6 +92,39 @@ def run(
     return state.result()
 
 
+def terminal_states(state: ExecutionState) -> Iterator[ExecutionState]:
+    """Yield ``state`` itself at every terminal configuration below it.
+
+    Depth-first, ascending choice order at every branch — the order of
+    :func:`all_executions`.  The yielded object is the one live state,
+    positioned at a leaf: read it (``result()``, ``depth``, ...) before
+    advancing the iterator, and never step it yourself.  Once the
+    iterator is exhausted the state is back at the configuration it was
+    entered with; an exception raised by a step propagates with the
+    state left where it failed.
+    """
+    if state.terminal:
+        yield state
+        return
+    entry = state.snapshot()
+    frames = [(entry, iter(state.candidates))]
+    while frames:
+        checkpoint, choices = frames[-1]
+        choice = next(choices, None)  # choices are ints, never None
+        if choice is None:
+            frames.pop()
+            continue
+        if state.depth != checkpoint.depth:
+            state.restore(checkpoint)
+        state.advance(choice)
+        if state.terminal:
+            yield state
+        else:
+            frames.append((state.snapshot(), iter(state.candidates)))
+    if state.depth != entry.depth:
+        state.restore(entry)
+
+
 def all_executions(
     graph: LabeledGraph,
     protocol: Protocol,
@@ -103,10 +143,15 @@ def all_executions(
     pass ``limit``.
 
     One live :class:`~repro.core.execution.ExecutionState` is steered
-    through the whole tree with snapshot/restore branching: stateless
+    through the whole tree by :func:`terminal_states`, the explicit-stack
+    walker, and frozen into a :class:`RunResult` at each leaf as the
+    caller asks for it — nothing is held back, so a consumer that folds
+    results as they stream keeps one run alive at a time.  Stateless
     protocols (``fresh()`` returns ``self``) undo in O(1) per backtrack,
     stateful ones restore by replay.  Both produce the same results in
     the same order (pinned against ``_all_executions_replay`` by tests).
+    Protocols declaring ``output_order_invariant`` decode each distinct
+    board multiset once (see :func:`~repro.core.execution.board_output`).
 
     With a ``faults`` budget the same DFS enumerates the *joint* fault ×
     schedule space — every way the adversary can interleave crashes,
@@ -153,21 +198,10 @@ def all_executions(
                 yield from results
                 return
     state = ExecutionState.initial(graph, protocol, model, bit_budget,
-                                   faults=faults)
-
-    def dfs() -> Iterator[RunResult]:
-        if state.terminal:
-            yield state.result()
-            return
-        for choice in state.candidates:
-            checkpoint = state.snapshot()
-            state.advance(choice)
-            yield from dfs()
-            state.restore(checkpoint)
-
+                                   faults=faults).memoize_outputs()
     produced = 0
-    for result in dfs():
-        yield result
+    for leaf in terminal_states(state):
+        yield leaf.result()
         produced += 1
         if limit is not None and produced >= limit:
             return
@@ -212,12 +246,14 @@ def count_executions(
 ) -> int:
     """Number of distinct schedules (size of the adversary's choice tree).
 
+    The scalar walk counts the leaves of :func:`terminal_states`; no
+    output is decoded and no :class:`RunResult` is built.
     ``batch=True`` counts terminal configurations breadth-wise on the
-    batched core without materialising a single :class:`RunResult` —
-    the pure-enumeration fast path — falling back to the scalar walk
-    for unsupported cells or on a captured violation.  ``jobs=N``
-    (N > 1) shards the count across process workers (see
-    :func:`all_executions`); the summed total is pinned identical.
+    batched core instead — the pure-enumeration fast path — falling
+    back to the scalar walk for unsupported cells or on a captured
+    violation.  ``jobs=N`` (N > 1) shards the count across process
+    workers (see :func:`all_executions`); the summed total is pinned
+    identical.
     """
     if jobs is not None and jobs > 1:
         from .batch import sharded_count_executions
@@ -236,5 +272,5 @@ def count_executions(
                                                 faults=faults)
             except BatchAborted:
                 pass  # scalar rerun raises at the right point
-    return sum(1 for _ in all_executions(graph, protocol, model,
-                                         faults=faults))
+    state = ExecutionState.initial(graph, protocol, model, faults=faults)
+    return sum(1 for _ in terminal_states(state))

@@ -54,6 +54,11 @@ class DegenerateBuildProtocol(Protocol):
     """
 
     designed_for = "SIMASYNC"
+    #: Algorithm 1 parses the board into a per-identifier table (a
+    #: repeated identifier or a missing one rejects the board), then
+    #: prunes in identifier order, so the output never sees the
+    #: write order.  Subclasses decode through the same function.
+    output_order_invariant = True
 
     def __init__(self, k: int, decoder: str = "newton") -> None:
         if k < 0:

@@ -186,11 +186,21 @@ class ProcessPoolBackend(Backend):
             # ready prefix: output order == submission order, always.
             ready: dict[int, list[R]] = {}
             next_shard = 0
-            for future in as_completed(futures):
+            for arrived, future in enumerate(as_completed(futures), 1):
                 ready[futures[future]] = future.result()
+                if arrived == len(shards):
+                    break
                 while next_shard in ready:
                     yield from ready.pop(next_shard)
                     next_shard += 1
+        # Every shard has arrived and the pool is shut down before the
+        # tail is emitted: a consumer that reads exactly the items it
+        # submitted never resumes this generator after the last one, so
+        # the workers are reaped inside its wait for that item rather
+        # than whenever it drops the generator.
+        while next_shard < len(shards):
+            yield from ready.pop(next_shard)
+            next_shard += 1
 
 
 def resolve_backend(jobs: Optional[int] = None,

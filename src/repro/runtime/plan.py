@@ -282,17 +282,15 @@ class ExecutionTask:
     def _execute_shard(self, prefixes):
         """Worker side of a sharded exhaustive cell: replay one lot of
         schedule prefixes to every terminal below them and aggregate
-        each prefix's group separately, keyed for the parent merge."""
-        from ..core.batch import ScheduleLot, run_schedule_lot
+        each prefix's group separately, keyed for the parent merge.
+        Scalar groups stream: each leaf is folded as it is produced."""
+        from ..core.batch import ScheduleLot, walk_lot
 
         lot = ScheduleLot(self.graph, self.protocol, self.model_name,
                           self.bit_budget, self.faults, tuple(prefixes),
                           batch=self.batch is True, collect=True)
-        status, value = run_schedule_lot(lot)
-        if status != "ok":
-            raise RuntimeError(value)
         return {prefix: self._shard_partial(group)
-                for prefix, group in zip(lot.prefixes, value)}
+                for prefix, group in zip(lot.prefixes, walk_lot(lot))}
 
     def _merge_shards(self, units, partials: dict) -> TaskOutcome:
         """Parent side: walk the DFS unit list, folding above-frontier

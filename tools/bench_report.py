@@ -73,7 +73,7 @@ def _scale_curve_markers() -> list[str]:
     kept the curve bending, so each one is a marker.
     """
     return ([f'"n": {n}' for n in (5, 6, 7, 8, 9)]
-            + ['"batched_seconds"', '"sharded_seconds"'])
+            + ['"batched_seconds"', '"sharded_seconds"', '"verify_seconds"'])
 
 
 #: Committed report sections and the markers that prove freshness.  A
@@ -292,7 +292,8 @@ def render_scale_curve() -> str:
     Renders ``reports/scale_curve.json`` (written by
     ``benchmarks/bench_scale.py::test_scale_curve``) so a reviewer sees
     where the scalar engine cliffs and how far the batched core pushes
-    the same enumeration, without re-running the benchmark.
+    the same enumeration — and what an exhaustive verdict (``verify``)
+    costs at each size — without re-running the benchmark.
     """
     path = REPORTS_DIR / "scale_curve.json"
     if not path.exists():
@@ -304,16 +305,18 @@ def render_scale_curve() -> str:
     lines = ["", f"Exhaustive enumeration curve ({curve.get('fixture', '?')})",
              ""]
     lines.append(f"{'n':>3} {'executions':>12} {'scalar':>10} "
-                 f"{'batched':>10} {'sharded':>10}")
+                 f"{'batched':>10} {'sharded':>10} {'verify':>10}")
     for row in curve.get("rows", []):
         scalar = row.get("scalar_seconds")
         scalar_cell = f"{scalar:.4f}s" if scalar is not None else "(cliff)"
         sharded = row.get("sharded_seconds")
         sharded_cell = f"{sharded:.4f}s" if sharded is not None else "-"
+        verify = row.get("verify_seconds")
+        verify_cell = f"{verify:.4f}s" if verify is not None else "-"
         lines.append(
             f"{row.get('n', '?'):>3} {row.get('executions', '?'):>12} "
             f"{scalar_cell:>10} {row.get('batched_seconds', 0):>9.4f}s "
-            f"{sharded_cell:>10}"
+            f"{sharded_cell:>10} {verify_cell:>10}"
         )
     return "\n".join(lines)
 
