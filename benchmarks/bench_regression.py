@@ -51,18 +51,6 @@ a trajectory in ``BENCH_perf.json`` at the repo root so later PRs can see
   field for field first.  The recorded entry carries the measured
   ``batch_occupancy`` (fraction of batch-stepped lanes surviving
   compaction) alongside the timing.
-* ``sharded_enumeration_n8`` — the 40320-schedule count of one n=8
-  cell, lot-sharded across two process workers (``jobs=2``).  Seed
-  baseline: the single-process batched count of the same cell — before
-  intra-cell sharding one process was the only way to enumerate one
-  cell.  The sharded total must equal the single-process total before
-  timing counts, and the recorded entry carries the job count.  On a
-  single-core runner the honest ratio is below 1 (spawn and pickle
-  overhead with no second core to pay for it), so the smoke gate
-  auto-skips its floor there and the recorded entry carries the
-  ``skipped_reason``.  Each trajectory run also records machine
-  metadata (cpu count, python and numpy versions) so
-  ``tools/bench_report.py`` can flag cross-machine comparisons.
 * ``bnb_bound_n7`` — the bounded branch-and-bound sweep (admissible
   suffix bounds + transposition table) of an n=7 BUILD cell under a
   one-crash fault budget, against the identical sweep with bounding
@@ -78,6 +66,10 @@ a trajectory in ``BENCH_perf.json`` at the repo root so later PRs can see
   dominate) — the recorded step and frontier-hit extras are the
   honest measurement, and the campaign-level CI smoke gates the
   strict step reduction.
+
+Each trajectory run also records machine metadata (cpu count, python
+and numpy versions) so ``tools/bench_report.py`` can flag cross-machine
+comparisons.
 
 ``--smoke`` runs a trimmed version (< 30 s) and exits nonzero when the
 hot paths regress, so CI fails loudly.  The gate never compares CI
@@ -150,11 +142,6 @@ SEED_BASELINE = {
     # execution path, so the scalar engine is the seed baseline.
     "stress_portfolio_n6": 0.6335,
     "batched_beam_n6": 0.0824,
-    # Single-process batched count of the identical n=8 cell on the
-    # recording machine — before intra-cell sharding, one process was
-    # the only way to enumerate one cell, so the unsharded batched walk
-    # is the seed baseline for the jobs=2 bench.
-    "sharded_enumeration_n8": 0.0350,
     # The instrumented execute() with tracing off on the stress
     # portfolio — before telemetry there was no seam at all, so the
     # pre-telemetry execute (~= the NULL_COLLECTION path) is the seed
@@ -193,14 +180,6 @@ SMOKE_FLOORS = {
     # scalar stepping while riding out shared-runner noise).
     "stress_portfolio_ratio": 3.0,
     "batched_beam_ratio": 3.0,
-    # Lot-sharded (jobs=2) vs single-process batched count of the same
-    # n=8 cell.  >= 1.5x expected on a 2-core machine; the floor is
-    # only applied when the runner actually has a second core —
-    # ``run_smoke_gate`` auto-skips it (and the recorded entry carries
-    # a ``skipped_reason``) when ``os.process_cpu_count() < 2``, where
-    # the honest ratio is below 1 and a documented low-floor escape
-    # would gate nothing.
-    "sharded_enumeration_ratio": 1.2,
     # Bounded vs boundless branch-and-bound on the identical n=7
     # faulted cell (measured ~600x: the admissible bound collapses the
     # post-incumbent subtrees the boundless sweep exhausts).  The floor
@@ -502,49 +481,6 @@ def _telemetry_overhead_ratio(reps: int) -> float:
     return min(t_ref) / min(t_now)
 
 
-def _cpu_count() -> int:
-    counter = getattr(os, "process_cpu_count", None) or os.cpu_count
-    return counter() or 1
-
-
-#: Why a single-core runner's sharded floor (and recorded entry) is
-#: skipped rather than gated against a meaningless sub-1x ratio.
-_SHARDED_SKIP_REASON = (
-    "single-core runner (process_cpu_count < 2): the honest jobs=2 "
-    "ratio is below 1, so the floor would gate machine shape, not code"
-)
-
-
-def _sharded_count_fixture():
-    from repro.core.simulator import count_executions
-
-    g8 = gen.random_k_degenerate(8, 2, seed=0)
-    proto = DegenerateBuildProtocol(2)
-    return g8, proto, count_executions
-
-
-def bench_sharded_enumeration_n8(reps: int) -> tuple[float, dict]:
-    """Lot-sharded 40320-schedule count (jobs=2) on an n=8 instance.
-
-    Asserts the sharded total equals the single-process batched total
-    before any timing counts.  The recorded entry carries the job count
-    so trajectory readers can normalise by machine parallelism — and,
-    on a single-core machine, the ``skipped_reason`` explaining why the
-    smoke floor did not apply to this run.
-    """
-    g8, proto, count_executions = _sharded_count_fixture()
-    sharded = count_executions(g8, proto, SIMASYNC, batch=True, jobs=2)
-    single = count_executions(g8, proto, SIMASYNC, batch=True)
-    assert sharded == single == 40320, (sharded, single)
-    seconds = _median_time(
-        lambda: count_executions(g8, proto, SIMASYNC, batch=True, jobs=2),
-        reps)
-    extras: dict = {"jobs": 2}
-    if _cpu_count() < 2:
-        extras["skipped_reason"] = _SHARDED_SKIP_REASON
-    return seconds, extras
-
-
 def _bnb_bound_fixture():
     """The n=7 cell where bounding bites: a faulted BUILD instance
     whose post-incumbent subtrees a boundless sweep must exhaust."""
@@ -629,14 +565,6 @@ def bench_warm_frontier_n6(reps: int) -> tuple[float, dict]:
     }
 
 
-def _time_batched_count_n8(reps: int) -> float:
-    """Single-process batched count of the same cell — the pre-sharding
-    execution path and the same-machine reference for the smoke gate."""
-    g8, proto, count_executions = _sharded_count_fixture()
-    return _median_time(
-        lambda: count_executions(g8, proto, SIMASYNC, batch=True), reps)
-
-
 BENCHES = {
     "sketch_n96": bench_sketch_n96,
     "all_executions_n6": bench_all_executions_n6,
@@ -645,7 +573,6 @@ BENCHES = {
     "adversary_table_n6": bench_adversary_table_n6,
     "stress_portfolio_n6": bench_stress_portfolio_n6,
     "batched_beam_n6": bench_batched_beam_n6,
-    "sharded_enumeration_n8": bench_sharded_enumeration_n8,
     "bnb_bound_n7": bench_bnb_bound_n7,
     "warm_frontier_n6": bench_warm_frontier_n6,
     "telemetry_overhead_n6": bench_telemetry_overhead_n6,
@@ -661,8 +588,7 @@ BENCHES = {
 #: they stay.
 SMOKE_BENCHES = ("sketch_n96", "all_executions_n6", "adversary_search_n6",
                  "adversary_table_n6", "stress_portfolio_n6",
-                 "batched_beam_n6", "sharded_enumeration_n8",
-                 "bnb_bound_n7", "warm_frontier_n6",
+                 "batched_beam_n6", "bnb_bound_n7", "warm_frontier_n6",
                  "telemetry_overhead_n6")
 
 
@@ -769,18 +695,6 @@ def run_smoke_gate(reps: int) -> tuple[dict, list[str]]:
     t_ref = _time_scalar_beam_n6(max(1, reps // 2))
     t_now, _extras = bench_batched_beam_n6(reps)
     ratios["batched_beam_ratio"] = round(t_ref / t_now, 2)
-
-    # Sharded vs single-process enumeration of the same cell; the bench
-    # asserts count equality before any timing counts.  The floor only
-    # measures code on machines that can actually run jobs=2 in
-    # parallel — on a single-core runner the honest ratio is below 1,
-    # so the gate is skipped (the bench's asserts still ran above).
-    t_ref = _time_batched_count_n8(max(1, reps // 2))
-    t_now, _extras = bench_sharded_enumeration_n8(reps)
-    if _cpu_count() >= 2:
-        ratios["sharded_enumeration_ratio"] = round(t_ref / t_now, 2)
-    else:
-        print(f"sharded_enumeration_ratio: skipped ({_SHARDED_SKIP_REASON})")
 
     # Bounded vs boundless branch-and-bound on the n=7 faulted cell;
     # the bench asserts witness field-identity before any timing counts.

@@ -10,6 +10,7 @@ being interactive.
 from __future__ import annotations
 
 import json
+import math
 import time
 
 from repro.core import (
@@ -121,10 +122,10 @@ CURVE_SIZES = (5, 6, 7, 8, 9)
 SCALAR_CLIFF = 7
 
 
-def _verify_seconds(graph, proto) -> float:
-    """Wall time of one exhaustive stress cell — every schedule
-    enumerated, decoded and checked, witnesses recorded — through the
-    production ``ExecutionTask.execute()``."""
+def _verify_cell(graph, proto):
+    """``(seconds, report)`` of one exhaustive stress cell — every
+    schedule enumerated, decoded and checked, witnesses recorded —
+    through the production ``ExecutionTask.execute()``."""
     [task] = ExecutionPlan.build(
         proto, [SIMASYNC], [graph], mode="stress",
         checker=default_checker("build-degenerate"),
@@ -134,51 +135,36 @@ def _verify_seconds(graph, proto) -> float:
     report = task.execute().report
     seconds = time.perf_counter() - t0
     assert report.ok and report.exhaustive_instances == 1
-    return seconds
+    return seconds, report
 
 
-def test_scale_curve(benchmark, report_dir):
-    """Exhaustive count_executions scaling: scalar vs batched vs sharded.
+def test_scale_curve(report_dir):
+    """Exhaustive verification scaling: what a verdict costs at each size.
 
-    The scalar engine is the semantic authority and is measured up to
-    ``SCALAR_CLIFF``; the batched structure-of-arrays core must agree
-    with it exactly there, then keep the curve bending past the cliff
-    (n=9 is 362880 schedules — hours scalar, sub-second batched).  The
-    sharded column (``jobs=2`` over the batched core) must agree with
-    the batched count everywhere; its seconds only beat the batched
-    column once real cores are available, so the curve records the
-    honest ratio for whatever machine produced it.  ``verify_seconds``
-    times what a verdict costs at each size — one exhaustive stress
-    cell, serial — next to the counting columns.
+    ``verify_seconds`` times one exhaustive stress cell, serial, and
+    ``executions`` is that cell's ``report.executions`` — every one of
+    the ``n!`` SIMASYNC schedules checked.  The scalar
+    ``count_executions`` walk (schedule tree sized without decoding or
+    checking) is timed up to ``SCALAR_CLIFF`` and must agree with it.
     """
     rows = []
     for n in CURVE_SIZES:
         g = gen.cycle_graph(n)
         proto = DegenerateBuildProtocol(2)
-        t0 = time.perf_counter()
-        batched = count_executions(g, proto, SIMASYNC, batch=True)
-        t_batched = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sharded = count_executions(g, proto, SIMASYNC, batch=True, jobs=2)
-        t_sharded = time.perf_counter() - t0
-        assert sharded == batched
+        verify_seconds, report = _verify_cell(g, proto)
+        assert report.executions == math.factorial(n)
         scalar_seconds = None
         if n <= SCALAR_CLIFF:
             t0 = time.perf_counter()
             scalar = count_executions(g, proto, SIMASYNC)
             scalar_seconds = round(time.perf_counter() - t0, 4)
-            assert scalar == batched
+            assert scalar == report.executions
         rows.append({
             "n": n,
-            "executions": batched,
+            "executions": report.executions,
             "scalar_seconds": scalar_seconds,
-            "batched_seconds": round(t_batched, 4),
-            "sharded_seconds": round(t_sharded, 4),
-            "verify_seconds": round(_verify_seconds(g, proto), 4),
+            "verify_seconds": round(verify_seconds, 4),
         })
-    assert [row["executions"] for row in rows] == sorted(
-        row["executions"] for row in rows
-    )
     payload = {
         "bench": "scale_curve",
         "fixture": "cycle / build-degenerate k=2 / SIMASYNC",
@@ -187,9 +173,3 @@ def test_scale_curve(benchmark, report_dir):
     }
     (report_dir / "scale_curve.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    small = gen.cycle_graph(6)
-    benchmark.pedantic(
-        lambda: count_executions(small, DegenerateBuildProtocol(2),
-                                 SIMASYNC, batch=True),
-        rounds=1, iterations=1,
-    )

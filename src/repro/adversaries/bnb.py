@@ -7,48 +7,16 @@ from dataclasses import replace
 from typing import Optional, Union
 
 from ..core.execution import ExecutionState
-from ..core.models import MODELS_BY_NAME, ModelSpec
+from ..core.models import ModelSpec
 from ..core.protocol import Protocol
 from ..faults.spec import FaultSpec, resolve_faults
 from ..graphs.labeled_graph import LabeledGraph
 from .base import AdversarySearch, Witness, witness_rank, worst_witness
-from .kernel import (BudgetMeter, OutOfBudget, SearchContext, SearchStats,
-                     complete_ascending)
+from .kernel import OutOfBudget, SearchContext, complete_ascending
 from .transposition import (Completion, dominance_frontier, iter_composed,
                             join_bounds, merge_bounds)
 
 __all__ = ["BranchAndBoundAdversary"]
-
-
-def _run_bnb_lot(payload):
-    """Worker entry point for one sharded branch-and-bound lot.
-
-    Replays each schedule prefix *unmetered* (the parent expansion
-    already spent those edges once, exactly like the serial sweep) and
-    runs the plain table-free sweep below it on a fresh local meter.
-    Returns ``("ok", (per-prefix incumbents, write events spent))`` or
-    an ``("error", message)`` marker — the parent then discards the
-    whole sharded attempt and re-runs the serial authority.
-    """
-    graph, protocol, model_name, bit_budget, faults, prefixes = payload
-    try:
-        model = MODELS_BY_NAME[model_name]
-        adv = BranchAndBoundAdversary(restarts=0)
-        adv._table = None
-        adv._faults = resolve_faults(faults)
-        adv._meter = BudgetMeter(SearchStats(), None, None)
-        bests: list[Witness] = []
-        for prefix in prefixes:
-            state = ExecutionState.initial(graph, protocol, model,
-                                           bit_budget, faults=adv._faults)
-            for choice in prefix:
-                state.advance(choice)
-            adv._best = None
-            adv._dfs_plain(state, None, None)
-            bests.append(adv._best)
-        return ("ok", (bests, adv._meter.spent))
-    except Exception as exc:  # noqa: BLE001 - marker, parent re-runs serial
-        return ("error", f"{type(exc).__name__}: {exc}")
 
 
 class BranchAndBoundAdversary(AdversarySearch):
@@ -106,9 +74,8 @@ class BranchAndBoundAdversary(AdversarySearch):
       ``MessageTooLarge`` a boundless sweep would have raised inside it
       is not raised — a search-order artifact (exhaustive enumeration
       still surfaces the violating schedule; pruning only engages above
-      the exhaustive threshold).  The table-free sweep never prunes:
-      it is the sharding-compatible authority whose explored counts
-      define the ``jobs=N`` field identity.
+      the exhaustive threshold).  The table-free sweep stays
+      non-pruning, so its ``explored`` counts are unchanged.
 
     Within ``max_steps`` the sweep is complete, so the witness is the
     exact worst case (ties broken towards the DFS-first schedule).  When
@@ -145,7 +112,6 @@ class BranchAndBoundAdversary(AdversarySearch):
         *,
         context: Optional[SearchContext] = None,
         faults: Union[None, str, FaultSpec] = None,
-        jobs: Optional[int] = None,
     ) -> Witness:
         spec = resolve_faults(faults)
         ctx = SearchContext.ensure(context)
@@ -169,17 +135,6 @@ class BranchAndBoundAdversary(AdversarySearch):
                 pass  # context budget exhausted mid-collapse
             self._force_completion(graph, protocol, model, bit_budget)
             return self._best
-        if (jobs is not None and jobs > 1 and table is None
-                and self.max_steps is None and ctx.max_steps is None):
-            # Unbudgeted, table-free sweeps shard exactly: workers hold
-            # no shared pruning state and no budget can truncate them,
-            # so the cross-lot incumbent fold below is provably the
-            # serial incumbent.  Budgeted or table-backed sweeps stay
-            # serial (their pruning order is globally stateful).
-            found = self._search_sharded(graph, protocol, model, bit_budget,
-                                         ctx, spec, jobs)
-            if found is not None:
-                return found
         truncated = self._sweep(state, rng=None)
         if truncated:
             for attempt in range(self.restarts):
@@ -200,115 +155,6 @@ class BranchAndBoundAdversary(AdversarySearch):
                                        faults=self._faults)
         complete_ascending(fresh, self._meter)
         self._record(fresh)
-
-    def _expand_units(self, graph, protocol, model, bit_budget, spec,
-                      min_prefixes: int, max_depth: int = 3):
-        """Bounded parent sweep into DFS-ordered units.
-
-        Mirrors :meth:`_dfs_plain` step for step down to a uniform
-        frontier depth: ``("best", witness)`` for terminals and
-        frozen-tail collapses above the frontier (each completion edge
-        spent on the local meter, exactly as the serial sweep spends
-        it), ``("prefix", schedule)`` for frontier subtree roots (their
-        interior edges are spent by the worker that owns them).  Returns
-        ``(units, write events spent)``.
-        """
-        for depth in range(1, max_depth + 1):
-            units: list = []
-            meter = BudgetMeter(SearchStats(), None, None)
-            state = ExecutionState.initial(graph, protocol, model, bit_budget,
-                                           faults=spec)
-
-            def walk(remaining: int) -> None:
-                if remaining == 0 and not state.terminal:
-                    units.append(("prefix", state.schedule))
-                    return
-                if state.terminal:
-                    units.append(("best", self._witness(state, meter.spent)))
-                    return
-                if self._frozen_tail(state):
-                    checkpoint = state.snapshot()
-                    while not state.terminal:
-                        state.advance(state.candidates[0])
-                        meter.spend()
-                    units.append(("best", self._witness(state, meter.spent)))
-                    state.restore(checkpoint)
-                    return
-                for choice in state.candidates:
-                    checkpoint = state.snapshot()
-                    state.advance(choice)
-                    meter.spend()
-                    walk(remaining - 1)
-                    state.restore(checkpoint)
-
-            walk(depth)
-            prefixes = sum(1 for kind, _ in units if kind == "prefix")
-            if prefixes == 0 or prefixes >= min_prefixes or depth == max_depth:
-                return units, meter.spent
-        return units, meter.spent  # pragma: no cover - loop always returns
-
-    def _search_sharded(self, graph, protocol, model, bit_budget,
-                        ctx: SearchContext, spec, jobs: int,
-                        ) -> Optional[Witness]:
-        """Fan the sweep across process workers over balanced subtree
-        lots; the associative incumbent fold below reproduces the serial
-        incumbent field for field.
-
-        Soundness: ``worst_witness`` keeps the first of rank-equal
-        witnesses, so folding per-unit incumbents *in DFS unit order*
-        selects exactly the witness the serial DFS-first tie-break
-        selects; and every tree edge is spent exactly once (parent
-        expansion above the frontier, owning worker below it), so the
-        committed total — hence ``explored`` and the context stats — is
-        the serial count.  Returns ``None`` (caller re-runs the serial
-        sweep) whenever identity cannot be proven: expansion raised, the
-        frontier is too small to split, the pool failed, or any worker
-        returned an error marker.
-        """
-        from ..core import batch as _batch
-
-        if _batch.np is None:
-            return None
-        try:
-            units, expansion_spent = self._expand_units(
-                graph, protocol, model, bit_budget, spec,
-                min_prefixes=2 * jobs)
-        except Exception:  # noqa: BLE001 - serial authority re-raises
-            return None
-        prefixes = [payload for kind, payload in units if kind == "prefix"]
-        if len(prefixes) < 2:
-            return None
-        weights = _batch._prefix_weights(prefixes, graph.n, spec)
-        canonical = spec.canonical()
-        payloads = [
-            (graph, protocol, model.name, bit_budget, canonical,
-             tuple(prefixes[i] for i in idx.tolist()))
-            for idx in _batch.partition_weighted(weights, jobs * 2)
-        ]
-        try:
-            from ..runtime.backends import ProcessPoolBackend
-
-            backend = ProcessPoolBackend(jobs=jobs, chunk_size=1)
-            outputs = list(backend.map(_run_bnb_lot, payloads))
-        except Exception:  # noqa: BLE001 - pool failure: serial authority
-            return None
-        per_prefix: dict[tuple[int, ...], Witness] = {}
-        total = expansion_spent
-        for payload, (status, value) in zip(payloads, outputs):
-            if status != "ok":
-                return None
-            bests, spent = value
-            total += spent
-            for prefix, best in zip(payload[5], bests):
-                if best is None:
-                    return None
-                per_prefix[prefix] = best
-        best: Optional[Witness] = None
-        for kind, payload in units:
-            witness = payload if kind == "best" else per_prefix[payload]
-            best = witness if best is None else worst_witness(best, witness)
-        self._meter.charge(total)
-        return replace(best, explored=self._meter.spent)
 
     def _sweep(self, state: ExecutionState,
                rng: Optional[random.Random]) -> bool:

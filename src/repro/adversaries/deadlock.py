@@ -6,106 +6,15 @@ from dataclasses import replace
 from typing import Optional, Union
 
 from ..core.execution import ExecutionState
-from ..core.models import MODELS_BY_NAME, ModelSpec
+from ..core.models import ModelSpec
 from ..core.protocol import Protocol
 from ..faults.spec import FaultSpec, resolve_faults
 from ..graphs.labeled_graph import LabeledGraph
 from .base import AdversarySearch, Witness, worst_witness
-from .kernel import (BudgetMeter, OutOfBudget, SearchContext, SearchStats,
-                     complete_ascending)
+from .kernel import OutOfBudget, SearchContext, complete_ascending
 from .transposition import TableEntry, iter_composed
 
 __all__ = ["DeadlockAdversary"]
-
-
-class _RecordingSeen(set):
-    """The worker-side memo set: a plain ``set`` that also records
-    process-stable digests of every key *checked* and every key *added*,
-    so the parent merge can prove the worker saw exactly the serial
-    exploration (its checks never hit a key another unit added)."""
-
-    def __init__(self, checked: set, added: set) -> None:
-        super().__init__()
-        self._checked = checked
-        self._added = added
-
-    def __contains__(self, key) -> bool:
-        from ..core.batch import config_key_digest
-
-        self._checked.add(config_key_digest(key))
-        return super().__contains__(key)
-
-    def add(self, key) -> None:
-        from ..core.batch import config_key_digest
-
-        self._added.add(config_key_digest(key))
-        super().add(key)
-
-
-class _DigestSeen:
-    """Parent-side memo set for the live continuation of a sharded
-    search, keyed in digest space so worker-returned ``added`` sets and
-    live additions pool into one serial-equivalent ``_seen``."""
-
-    __slots__ = ("_digests",)
-
-    def __init__(self, digests: set) -> None:
-        self._digests = digests
-
-    def __contains__(self, key) -> bool:
-        from ..core.batch import config_key_digest
-
-        return config_key_digest(key) in self._digests
-
-    def add(self, key) -> None:
-        from ..core.batch import config_key_digest
-
-        self._digests.add(config_key_digest(key))
-
-
-def _run_deadlock_lot(payload):
-    """Worker entry point for one sharded deadlock-DFS lot.
-
-    Each prefix is replayed unmetered (the parent event stream owns
-    those spends) and its subtree searched with a fresh local meter
-    capped at the strategy budget — a unit that alone exceeds it would
-    make the serial search cross mid-unit too, so truncation is reported
-    and the parent falls back to serial.  Per prefix:
-    ``(found, find_spent, spent, best_complete, checked, added,
-    truncated)``.  Any exception becomes an ``("error", message)``
-    marker; the parent then re-runs the serial authority.
-    """
-    (graph, protocol, model_name, bit_budget, faults, max_steps,
-     prefixes) = payload
-    try:
-        model = MODELS_BY_NAME[model_name]
-        spec = resolve_faults(faults)
-        units = []
-        for prefix in prefixes:
-            adv = DeadlockAdversary(max_steps=max_steps)
-            adv._meter = BudgetMeter(SearchStats(), max_steps, None)
-            adv._table = None
-            adv._best_complete = None
-            checked: set = set()
-            added: set = set()
-            adv._seen = _RecordingSeen(checked, added)
-            state = ExecutionState.initial(graph, protocol, model,
-                                           bit_budget, faults=spec)
-            for choice in prefix:
-                state.advance(choice)
-            found = None
-            truncated = False
-            try:
-                found = adv._dfs(state)
-            except OutOfBudget:
-                truncated = True
-            find_spent = adv._meter.spent if found is not None else None
-            units.append((found, find_spent, adv._meter.spent,
-                          adv._best_complete, frozenset(checked),
-                          frozenset(added), truncated))
-        return ("ok", units)
-    except Exception as exc:  # noqa: BLE001 - marker, parent re-runs serial
-        return ("error", f"{type(exc).__name__}: {exc}")
 
 
 class DeadlockAdversary(AdversarySearch):
@@ -165,7 +74,6 @@ class DeadlockAdversary(AdversarySearch):
         *,
         context: Optional[SearchContext] = None,
         faults: Union[None, str, FaultSpec] = None,
-        jobs: Optional[int] = None,
     ) -> Witness:
         spec = resolve_faults(faults)
         ctx = SearchContext.ensure(context)
@@ -184,18 +92,6 @@ class DeadlockAdversary(AdversarySearch):
             # too (crashed nodes are terminated, not starved): no
             # deadlock exists.  One completion supplies the witness.
             return self._complete(state)
-        if (jobs is not None and jobs > 1 and table is None
-                and ctx.max_steps is None):
-            # Table-backed searches exchange frontiers mid-flight and a
-            # context-wide cap couples this search to earlier ones, so
-            # only the table-free, context-uncapped DFS shards; the
-            # *strategy* budget is allowed — the merge replays the
-            # serial spend sequence and falls back to serial the moment
-            # a crossing cannot be proven identical.
-            found = self._search_sharded(graph, protocol, model, bit_budget,
-                                         ctx, spec, jobs)
-            if found is not None:
-                return found
         try:
             found = self._dfs(state)
         except OutOfBudget:
@@ -231,215 +127,6 @@ class DeadlockAdversary(AdversarySearch):
                 witness if self._best_complete is None
                 else worst_witness(self._best_complete, witness)
             )
-
-    def _expand_events(self, graph, protocol, model, bit_budget, spec,
-                       min_units: int, max_depth: int = 3):
-        """Bounded parent DFS into an ordered *event* stream.
-
-        Mirrors :meth:`_dfs` step for step — probe loop, deadlock-at-
-        probe, fewest-candidates-first descent, memo gating — down to a
-        uniform frontier depth, emitting ``("spend",)`` for each meter
-        spend, ``("found", witness)`` / ``("complete", witness)`` for
-        parent-side verdicts (witness ``explored`` is patched in at
-        replay time), and ``("unit", schedule)`` for each *descended*
-        frontier subtree.  Root-key dedup between frontier subtrees is
-        resolved here (skipped children emit nothing), so replay only
-        interleaves worker results.  Expansion is unmetered; the replay
-        enforces the budget against the reconstructed spend sequence.
-        """
-        for depth in range(1, max_depth + 1):
-            events: list = []
-            seen: set = set()
-            state = ExecutionState.initial(graph, protocol, model, bit_budget,
-                                           faults=spec)
-
-            def walk(remaining: int) -> bool:
-                """Emit the subtree's events; True = a find aborts all."""
-                if state.terminal:
-                    # Only non-deadlocked terminals are descended into
-                    # (the probe loop returns deadlocks first).
-                    events.append(("complete", self._witness(state, 0)))
-                    return False
-                if remaining == 0:
-                    events.append(("unit", state.schedule))
-                    return False
-                children = []
-                for choice in state.candidates:
-                    checkpoint = state.snapshot()
-                    events.append(("spend", None))
-                    state.advance(choice)
-                    if state.deadlocked:
-                        events.append(("found", self._witness(state, 0)))
-                        state.restore(checkpoint)
-                        return True
-                    key = self._key(state)
-                    children.append((len(state.candidates), choice, key))
-                    state.restore(checkpoint)
-                for _, choice, key in sorted(children, key=lambda c: c[:2]):
-                    if key is not None:
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    checkpoint = state.snapshot()
-                    events.append(("spend", None))
-                    state.advance(choice)
-                    stop = walk(remaining - 1)
-                    state.restore(checkpoint)
-                    if stop:
-                        return True
-                return False
-
-            found = walk(depth)
-            units = sum(1 for kind, _ in events if kind == "unit")
-            if found or units == 0 or units >= min_units or depth == max_depth:
-                return events
-        return events  # pragma: no cover - loop always returns
-
-    def _search_sharded(self, graph, protocol, model, bit_budget,
-                        ctx: SearchContext, spec, jobs: int,
-                        ) -> Optional[Witness]:
-        """Fan frontier subtrees across process workers, then *replay*
-        the serial event stream to merge.
-
-        The replay walks parent events in serial DFS order on a
-        throwaway meter, consuming each unit's worker result where the
-        serial search would have explored it.  A unit is *accepted*
-        only when the worker provably explored what serial would have:
-        it was not truncated, it fits the remaining budget, and none of
-        the keys it *checked* was *added* by an earlier unit (parent
-        keys live at shallower depths and cannot collide — every
-        schedule event terminates one node, so memo keys stratify by
-        depth).  An unprovable unit is instead re-run *live* in this
-        process — prefix replay plus the ordinary :meth:`_dfs` over a
-        digest-space ``_seen`` pooled from every accepted worker — which
-        is serial behaviour exactly, so acceptance can resume at the
-        next clean unit.  ``None`` (full serial re-run) is reserved for
-        worker/pool errors and the one unreproducible corner: a budget
-        crossing before any completion exists.  On success the
-        committed total and the returned witness (verdict, schedule,
-        bits, ``explored``) are the serial search's, field for field.
-        """
-        from ..core import batch as _batch
-
-        if _batch.np is None:
-            return None
-        try:
-            events = self._expand_events(graph, protocol, model, bit_budget,
-                                         spec, min_units=2 * jobs)
-        except Exception:  # noqa: BLE001 - serial authority re-raises
-            return None
-        prefixes = [payload for kind, payload in events if kind == "unit"]
-        if len(prefixes) < 2:
-            return None
-        weights = _batch._prefix_weights(prefixes, graph.n, spec)
-        canonical = spec.canonical()
-        payloads = [
-            (graph, protocol, model.name, bit_budget, canonical,
-             self.max_steps, tuple(prefixes[i] for i in idx.tolist()))
-            for idx in _batch.partition_weighted(weights, jobs * 2)
-        ]
-        try:
-            from ..runtime.backends import ProcessPoolBackend
-
-            backend = ProcessPoolBackend(jobs=jobs, chunk_size=1)
-            outputs = list(backend.map(_run_deadlock_lot, payloads))
-        except Exception:  # noqa: BLE001 - pool failure: serial authority
-            return None
-        per_prefix: dict = {}
-        for payload, (status, value) in zip(payloads, outputs):
-            if status != "ok":
-                return None
-            for prefix, unit in zip(payload[6], value):
-                per_prefix[prefix] = unit
-        limit = self.max_steps
-        real_meter = self._meter
-        throwaway = BudgetMeter(SearchStats(), limit, None)
-        self._meter = throwaway
-        added_global: set = set()
-        self._seen = _DigestSeen(added_global)
-        self._best_complete = None
-
-        def fallback() -> None:
-            """Undo the attempt: the serial re-run starts fresh."""
-            self._meter = real_meter
-            self._best_complete = None
-            self._seen = set()
-            return None
-
-        def commit(witness: Witness, patch: bool) -> Witness:
-            self._meter = real_meter
-            real_meter.charge(throwaway.spent)
-            if patch:
-                return replace(witness, explored=real_meter.spent)
-            return witness  # live finds already carry the exact count
-
-        for kind, payload in events:
-            if kind == "spend":
-                try:
-                    throwaway.spend()
-                except OutOfBudget:
-                    # Serial truncates on this very spend.  Its fallback
-                    # witness is the fold so far — unless none exists,
-                    # in which case serial completes from a mid-parent
-                    # state this replay does not hold: full re-run
-                    # (cheap: the budget is smaller than the parent
-                    # expansion that exhausted it).
-                    if self._best_complete is None:
-                        return fallback()
-                    return commit(self._best_complete, patch=True)
-            elif kind == "found":
-                return commit(payload, patch=True)
-            elif kind == "complete":
-                self._best_complete = (
-                    payload if self._best_complete is None
-                    else worst_witness(self._best_complete, payload))
-            else:  # unit
-                (found, find_spent, unit_spent, unit_best, checked, added,
-                 truncated) = per_prefix[payload]
-                clean = not truncated and not (checked & added_global)
-                if clean and found is not None:
-                    if limit is None or throwaway.spent + find_spent <= limit:
-                        throwaway.charge(find_spent)
-                        return commit(found, patch=True)
-                    clean = False  # serial crosses before the find
-                elif clean and (limit is not None
-                                and throwaway.spent + unit_spent > limit):
-                    clean = False  # serial crosses mid-unit
-                if clean:
-                    throwaway.charge(unit_spent)
-                    added_global |= added
-                    if unit_best is not None:
-                        self._best_complete = (
-                            unit_best if self._best_complete is None
-                            else worst_witness(self._best_complete,
-                                               unit_best))
-                    continue
-                # Live continuation: run this unit serially, right here,
-                # against the pooled memo — behaviourally identical to
-                # the serial search reaching this subtree.
-                state = ExecutionState.initial(graph, protocol, model,
-                                               bit_budget, faults=spec)
-                for choice in payload:
-                    state.advance(choice)
-                try:
-                    live_found = self._dfs(state)
-                except OutOfBudget:
-                    if self._best_complete is None:
-                        # Serial's forced completion from the mid-tree
-                        # state — which the live run holds, identically.
-                        return commit(self._complete(state), patch=False)
-                    return commit(self._best_complete, patch=True)
-                except Exception:
-                    # e.g. MessageTooLarge: serial raises it at this
-                    # same state.  Commit the accounting and let it out.
-                    self._meter = real_meter
-                    real_meter.charge(throwaway.spent)
-                    raise
-                if live_found is not None:
-                    return commit(live_found, patch=False)
-        if self._best_complete is None:
-            return fallback()
-        return commit(self._best_complete, patch=True)
 
     def _dfs(self, state: ExecutionState) -> Optional[Witness]:
         if state.terminal:

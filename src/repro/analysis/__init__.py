@@ -23,17 +23,6 @@ from .table2 import EmpiricalCell, Table2Result, generate_table2, render_table2
 from .verify import Checker, Failure, VerificationReport, verify_protocol
 
 
-def __getattr__(name):
-    # Lazy: importing the deprecated parallel shim emits its
-    # DeprecationWarning, which must hit shim users only — not everyone
-    # who imports the analysis package.
-    if name == "verify_protocol_parallel":
-        from .parallel import verify_protocol_parallel
-
-        return verify_protocol_parallel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BfsCanonical",
     "BuildEqualsInput",
@@ -44,7 +33,6 @@ __all__ = [
     "SquareCorrect",
     "TriangleCorrect",
     "TwoCliquesCorrect",
-    "verify_protocol_parallel",
     "klogn_budget",
     "linear_budget",
     "logn_budget",

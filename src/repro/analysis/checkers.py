@@ -1,8 +1,8 @@
 """Picklable output checkers.
 
 The verification harness accepts any callable, but *parallel* sweeps
-(:mod:`repro.analysis.parallel`) ship work to worker processes, and
-lambdas don't pickle.  These small callable classes cover every oracle
+(``verify_protocol(..., backend=ProcessPoolBackend(...))``) ship work
+to worker processes, and lambdas don't pickle.  These small callable classes cover every oracle
 the experiments use; they are equally usable in serial sweeps, so test
 code can share one vocabulary.
 """

@@ -15,10 +15,10 @@ re-expanding them.  This module owns the boundary representation:
   lossless tagged-JSON round trip of
   :meth:`~repro.core.execution.ExecutionState.config_key` tuples, whose
   components are ints, ``None``, nested tuples and frozensets of ints.
-  The stored row key is the process-stable
-  :func:`~repro.core.batch.config_key_digest` (hex), but the full key
-  payload travels alongside so loading reconstructs real table keys —
-  digests alone could not repopulate a table.
+  The stored row key is the process-stable :func:`config_key_digest`
+  (hex), but the full key payload travels alongside so loading
+  reconstructs real table keys — digests alone could not repopulate a
+  table.
 * **entry codec** (:func:`encode_entry` / :func:`decode_entry`):
   :class:`~repro.adversaries.transposition.TableEntry` round trip,
   including bound-only entries (truncated subtrees with no frontier).
@@ -41,7 +41,6 @@ from ..adversaries.transposition import (
     TableEntry,
     TranspositionTable,
 )
-from ..core.batch import config_key_digest
 from ..graphs.codec import to_graph6
 from ..graphs.labeled_graph import LabeledGraph
 
@@ -50,6 +49,7 @@ __all__ = [
     "task_cell_key",
     "encode_key",
     "decode_key",
+    "config_key_digest",
     "encode_entry",
     "decode_entry",
     "encode_rows",
@@ -128,6 +128,29 @@ def _decode_component(value: Any) -> Any:
     if tag == "t":
         return tuple(_decode_component(v) for v in rest)
     return frozenset(rest)
+
+
+def _normalize_key(obj):
+    """Config-key component with frozensets replaced by sorted tuples
+    (frozenset iteration order is not stable across processes; every
+    other component is ints/None/tuples whose repr is)."""
+    if isinstance(obj, frozenset):
+        return ("fs",) + tuple(sorted(obj))
+    if isinstance(obj, tuple):
+        return tuple(_normalize_key(x) for x in obj)
+    return obj
+
+
+def config_key_digest(key) -> bytes:
+    """Process-stable digest of an ``ExecutionState.config_key()``.
+
+    Two keys digest equal iff they are equal: the only order-unstable
+    components of a config key are frozensets of ints, normalized to
+    sorted tuples before hashing.  Stored frontier rows are keyed by
+    these digests (16 bytes, identical no matter which process computed
+    them)."""
+    return hashlib.blake2b(repr(_normalize_key(key)).encode(),
+                           digest_size=16).digest()
 
 
 def encode_key(key: tuple) -> str:

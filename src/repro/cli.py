@@ -215,11 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "the searched schedule space")
     st.add_argument("--batch", dest="batch", action="store_true",
                     default=None,
-                    help="step cells through the batched structure-of-"
-                         "arrays engine where supported (field-identical "
-                         "reports, just faster)")
+                    help="beam only: step the beam search through the "
+                         "batched structure-of-arrays engine where "
+                         "supported (field-identical reports)")
     st.add_argument("--no-batch", dest="batch", action="store_false",
-                    help="pin every cell to the scalar reference engine")
+                    help="beam only: pin the beam search to the scalar "
+                         "reference engine")
     st.add_argument("--store", default=None, metavar="PATH",
                     help="SQLite result store for opportunistic reuse: "
                          "cells already stored are served from it, "

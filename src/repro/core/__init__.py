@@ -26,24 +26,13 @@ from .schedulers import (
     Scheduler,
     default_portfolio,
 )
-from .batch import (
-    BatchAborted,
-    BatchedExecutionState,
-    batch_supported,
-    batched_all_executions,
-    batched_count_executions,
-    partition_lots,
-)
+from .batch import BatchedExecutionState, batch_supported
 from .simulator import RunResult, all_executions, count_executions, run
 from .whiteboard import BoardView, Entry, Whiteboard
 
 __all__ = [
-    "BatchAborted",
     "BatchedExecutionState",
     "batch_supported",
-    "batched_all_executions",
-    "batched_count_executions",
-    "partition_lots",
     "MessageTooLarge",
     "ProtocolViolation",
     "SchedulerError",

@@ -1,22 +1,25 @@
-"""Batched structure-of-arrays execution core.
+"""Batched structure-of-arrays execution core: the beam search's engine.
 
 The scalar :class:`~repro.core.execution.ExecutionState` steps one
-configuration at a time; beam frontiers and exhaustive sweeps want
-*thousands* of near-identical configurations stepped in lockstep.  A
+configuration at a time; a beam frontier wants *hundreds* of
+near-identical configurations stepped in lockstep.  A
 :class:`BatchedExecutionState` holds N configurations as parallel numpy
 arrays — written/active/crashed node sets packed into uint64 bitmask
 lanes, activation rounds and frozen-message handles as (N, n) matrices,
 bit totals and schedule cursors as int64 vectors — and advances *all* of
 them with a handful of vectorised array operations per generation.
+:class:`~repro.adversaries.beam.BeamSearchAdversary` is its only
+caller; exhaustive enumeration walks the scalar engine.
 
 Design rules (the reason this module is allowed to exist):
 
 * **The scalar engine is the only semantic authority.**  Every batched
-  result is pinned field-identical to the scalar one — config keys,
-  witnesses, counts, ``RunResult`` fields, fault budgets included — by
-  the equivalence tests in ``tests/core/test_batch.py`` and
-  ``tests/adversaries/test_batched_beam.py``.  Nothing here may change
-  an observable value; it may only produce the same values faster.
+  value is pinned field-identical to the scalar one — config keys,
+  dedupe keys, bounds, terminal schedules and bit totals, fault budgets
+  included — by the equivalence tests in ``tests/core/test_batch.py``
+  and ``tests/adversaries/test_batched_beam.py``.  Nothing here may
+  change an observable value; it may only produce the same values
+  faster.
 * **Shared immutable context lives in one ``_BatchCell``** per
   (graph, protocol, model, budget, faults) cell: interned message
   records with lazily computed bit sizes and codec digests, a view trie
@@ -26,27 +29,16 @@ Design rules (the reason this module is allowed to exist):
 * **Violations are captured per lane**, never raised mid-kernel: a lane
   whose step raises (:class:`~repro.core.errors.MessageTooLarge`, a
   protocol violation, a decoder crash during activation) is marked dead
-  and carries its exception.  Drivers re-raise in scalar generation
-  order — or abandon the batch and re-run the scalar engine, which is
-  always correct — so exception timing matches the reference exactly.
+  and carries its exception.  The beam re-raises in scalar generation
+  order, so exception timing matches the reference exactly.
 * **Only stateless protocols** (``fresh()`` returns ``self``) qualify:
   hidden per-run protocol state cannot be gathered.  ``batch_supported``
   gates every entry point; unsupported cells silently use the scalar
   path.
-
-``partition_lots`` balances enumeration fan-out: when a frontier
-outgrows the lane budget it is split into roughly equal-weight subtree
-lots (weight = remaining-depth factorial x remaining fault budget, the
-LPT greedy), each walked independently — the warp-balancing idea from
-the spmm block-partition kernels applied to schedule subtrees.
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-import math
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 try:  # numpy is a hard dependency of the graphs layer, but stay graceful
@@ -58,35 +50,13 @@ from ..encoding.bits import payload_bits, payload_key
 from ..faults.spec import FaultSpec, resolve_faults
 from ..telemetry import tracer as _trace
 from .errors import MessageTooLarge, ProtocolViolation
-from .execution import ExecutionState, RunResult, board_output
-from .models import MODELS_BY_NAME, ModelSpec
+from .execution import ExecutionState
+from .models import ModelSpec
 from .protocol import NodeView, Protocol
-from .simulator import terminal_states
-from .whiteboard import BoardView, Entry, Whiteboard
+from .whiteboard import BoardView
 from ..graphs.labeled_graph import LabeledGraph
 
-__all__ = [
-    "BatchAborted",
-    "BatchedExecutionState",
-    "ScheduleLot",
-    "batch_supported",
-    "batched_all_executions",
-    "batched_count_executions",
-    "config_key_digest",
-    "expand_enumeration_units",
-    "partition_lots",
-    "partition_weighted",
-    "run_schedule_lot",
-    "sharded_all_executions",
-    "sharded_count_executions",
-    "walk_lot",
-]
-
-
-class BatchAborted(RuntimeError):
-    """A batched enumeration hit a per-lane violation and must be
-    re-run on the scalar engine (which raises at exactly the right
-    point in the reference DFS order)."""
+__all__ = ["BatchedExecutionState", "batch_supported"]
 
 
 def batch_supported(graph: LabeledGraph, protocol: Protocol,
@@ -121,8 +91,8 @@ class _BatchCell:
     """Shared immutable context + memo tables for one execution cell.
 
     One cell is shared by every batch of the same
-    (graph, protocol, model, bit_budget, faults) tuple — beam restarts,
-    enumeration lots, forks.  All caches are append-only, so sharing is
+    (graph, protocol, model, bit_budget, faults) tuple — beam restarts
+    and forks.  All caches are append-only, so sharing is
     safe, and all message/bit/key computation happens here exactly once
     per distinct (node, view) pair.
     """
@@ -186,12 +156,6 @@ class _BatchCell:
         #: Decode probe cache (DecodeFailure-style scoring), keyed by
         #: view id — boards with the same view id are identical.
         self._decode_cache: dict[int, bool] = {}
-
-        #: ``(output, output_error)`` per board multiset (sorted digest
-        #: ids) for order-invariant protocols — the scalar engine's
-        #: memo, through the same :func:`board_output`.
-        self._output_memo: Optional[dict] = (
-            {} if protocol.output_order_invariant else None)
 
         #: Static per-node records for simultaneous asynchronous models
         #: (frozen at round 0 against the empty board, like the scalar
@@ -394,9 +358,8 @@ class BatchedExecutionState:
     expression plus small per-lane loops only where the model is
     genuinely view-dependent (free activation, synchronous messages).
     A lane whose step raised is *dead*: it keeps its arrays but carries
-    the exception in :attr:`violations`, and drivers decide whether to
-    re-raise (beam, in generation order) or abandon the whole batch
-    (enumeration, falling back to the scalar reference).
+    the exception in :attr:`violations`, and the beam re-raises it in
+    generation order.
     """
 
     __slots__ = (
@@ -944,576 +907,3 @@ class BatchedExecutionState:
         if dups_left:
             total += dups_left * top
         return (deadlock_possible, top, total)
-
-    # -- results -------------------------------------------------------
-
-    def result_of(self, lane: int) -> RunResult:
-        """Freeze a terminal lane into a :class:`RunResult`,
-        field-identical to the scalar ``result()``.  Decoding many
-        lanes of one batch?  Use :meth:`_result_builder` — this
-        convenience re-gathers the batch columns on every call."""
-        return self._result_builder()(lane)
-
-    def _result_builder(self):
-        """A terminal-lane → :class:`RunResult` closure over columns
-        gathered once per batch (``result_of`` per lane costs O(batch)
-        in whole-array numpy reads, which dominates enumeration)."""
-        cell = self.cell
-        n = cell.n
-        done_l = self.done_mask().tolist()
-        maxb_l = self.maxb.tolist()
-        totb_l = self.totb.tolist()
-        crashed_l = self.crashed.tolist()
-        act_l = self.act.tolist()
-        view_l = self.view.tolist() if self.view is not None else None
-        sched_tuple = cell._sched_tuple_of
-        sched_l = self.sched.tolist() if self.sched is not None else None
-        nodes = list(cell.graph.nodes())
-        static = cell._static_rec
-        memo = cell._output_memo
-        key_id_of = cell._key_id_of
-
-        def build(lane: int) -> RunResult:
-            if sched_l is None:
-                raise ValueError("schedules were not tracked for this batch")
-            schedule = sched_tuple(sched_l[lane])
-            if view_l is not None:
-                recs = cell._view_recs(view_l[lane])
-            else:
-                recs = []
-                for choice in schedule:
-                    if choice > 0:
-                        recs.append(static[choice - 1])
-                    elif -choice > 2 * n:  # duplication
-                        rec = static[-choice - 2 * n - 1]
-                        recs.extend((rec, rec))
-            entries: list[Entry] = []
-            pos = 0
-            for event0, choice in enumerate(schedule):
-                event = event0 + 1
-                if choice > 0 or -choice > 2 * n:
-                    author = choice if choice > 0 else -choice - 2 * n
-                    copies = 1 if choice > 0 else 2
-                    for _ in range(copies):
-                        rec = recs[pos]
-                        entries.append(Entry(
-                            index=len(entries), author=author,
-                            payload=cell._rec_payload[rec],
-                            bits=cell._bits_of(rec), round_written=event))
-                        pos += 1
-            board = Whiteboard(entries=entries)
-            success = done_l[lane]
-            output = None
-            output_error = None
-            if success:
-                output, output_error = board_output(
-                    cell.proto, (e.payload for e in entries), n,
-                    cell.faults.enabled, memo,
-                    tuple(sorted(key_id_of(rec) for rec in recs))
-                    if memo is not None else None,
-                )
-            row = act_l[lane]
-            activation = {v: row[v - 1] for v in sorted(
-                (v for v in nodes if row[v - 1] >= 0),
-                key=lambda v: (row[v - 1], v))}
-            return RunResult(
-                success=success,
-                output=output,
-                board=board,
-                write_order=tuple(e.author for e in entries),
-                activation_round=activation,
-                max_message_bits=maxb_l[lane],
-                total_bits=totb_l[lane],
-                model=cell.model,
-                protocol_name=cell.proto.name,
-                n=n,
-                schedule=schedule,
-                crashed=frozenset(_iter_bits(crashed_l[lane])),
-                output_error=output_error,
-            )
-
-        return build
-
-    # -- work partitioning ---------------------------------------------
-
-    def subtree_weights(self):
-        """Estimated remaining-subtree size per lane: factorial of the
-        unterminated node count, scaled by the unspent fault budget —
-        the LPT weight :func:`partition_lots` balances."""
-        remaining = self.cell.n - np.bitwise_count(
-            self.written | self.crashed).astype(np.int64)
-        fact = np.array([math.factorial(min(int(r), 20))
-                         for r in remaining], dtype=np.float64)
-        return fact * (1.0 + (self.cl + self.ll + self.dl))
-
-
-def partition_weighted(weights, lots: int) -> list:
-    """Split ``range(len(weights))`` into ``lots`` roughly equal-weight
-    groups.
-
-    Longest-processing-time greedy: items descending by weight (stable,
-    so equal weights keep their index order — the deterministic
-    tie-break), each assigned to the currently lightest lot.  Returns a
-    list of ascending int64 index arrays that partition the items; empty
-    groups are dropped, so an empty input yields an empty list.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    count = int(weights.shape[0])
-    if count == 0:
-        return []
-    lots = max(1, min(int(lots), count))
-    order = np.argsort(-weights, kind="stable")
-    heap = [(0.0, i) for i in range(lots)]
-    heapq.heapify(heap)
-    members: list[list[int]] = [[] for _ in range(lots)]
-    for item in order.tolist():
-        load, slot = heapq.heappop(heap)
-        members[slot].append(item)
-        heapq.heappush(heap, (load + float(weights[item]), slot))
-    return [np.array(sorted(group), dtype=np.int64)
-            for group in members if group]
-
-
-def partition_lots(batch: BatchedExecutionState, lots: int) -> list:
-    """Split lanes into ``lots`` roughly equal-weight groups — the LPT
-    greedy of :func:`partition_weighted` over :meth:`subtree_weights`,
-    the balanced fan-out used before enumeration recursion and by the
-    process-sharded lot drivers."""
-    return partition_weighted(batch.subtree_weights(), lots)
-
-
-#: Above this frontier width the enumeration drivers split into lots of
-#: about half the cap before fanning out, bounding peak lane memory.
-_MAX_LANES = 1 << 14
-
-
-def _choice_rank(choice: int, n: int) -> int:
-    """Rank of a choice inside the scalar candidate order: writes
-    ascending, then crash / loss / duplication events ascending."""
-    if choice > 0:
-        return choice
-    v = -choice
-    if v <= n:
-        return n + v
-    if v <= 2 * n:
-        return 2 * n + (v - n)
-    return 3 * n + (v - 2 * n)
-
-
-def _walk_terminals(root: BatchedExecutionState, collect, count_only: bool,
-                    max_lanes: int = _MAX_LANES) -> int:
-    """Drive the batched frontier to every terminal configuration.
-
-    ``collect`` (when not ``count_only``) receives ``(batch, lane)``
-    pairs for each terminal lane; returns the terminal count.  Raises
-    :class:`BatchAborted` on any captured per-lane violation — the
-    scalar engine is the authority on *where* in DFS order to raise.
-    """
-    total = 0
-    stack = [root]
-    while stack:
-        frontier = stack.pop()
-        while frontier.size:
-            if frontier.violations:
-                raise BatchAborted(
-                    f"lane violation: {frontier.violations[frontier.first_violation()]!r}")
-            terminal = frontier.terminal_mask()
-            tidx = np.nonzero(terminal)[0]
-            if tidx.size:
-                total += int(tidx.size)
-                if not count_only:
-                    terms = frontier.compact(tidx)
-                    for lane in range(terms.size):
-                        collect(terms, lane)
-            live = np.nonzero(~terminal)[0]
-            if live.size == 0:
-                break
-            frontier = frontier.compact(live)
-            if frontier.size > max_lanes:
-                for lot in partition_lots(
-                        frontier, -(-frontier.size // (max_lanes // 2))):
-                    stack.append(frontier.compact(lot))
-                break
-            lanes, choices = frontier.expansion()
-            frontier = frontier.fork(lanes, choices)
-    return total
-
-
-def batched_count_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    faults: Union[None, str, FaultSpec] = None,
-) -> int:
-    """Size of the adversary's choice tree, counted breadth-wise on the
-    batched core — no per-leaf decode, no ``RunResult`` objects, which
-    is the whole enumeration win.  Equals the scalar
-    ``count_executions`` exactly (pinned by tests); raises
-    :class:`BatchAborted` when a lane violates, in which case callers
-    re-run the scalar reference."""
-    cell = _BatchCell(graph, protocol, model, None, faults)
-    root = BatchedExecutionState.root(cell, track_sched=False)
-    return _walk_terminals(root, None, count_only=True)
-
-
-def batched_all_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int] = None,
-    faults: Union[None, str, FaultSpec] = None,
-):
-    """Every terminal :class:`RunResult` of the cell, in the scalar
-    DFS order.
-
-    The tree walk is eager (breadth-wise, so results must be re-sorted
-    into depth-first order by schedule rank) and raises
-    :class:`BatchAborted` *before* anything is yielded if any lane
-    violated; per-leaf decoding is deferred to iteration time, so
-    partially consumed iterators never pay for unread results.
-    """
-    cell = _BatchCell(graph, protocol, model, bit_budget, faults)
-    root = BatchedExecutionState.root(cell)
-    leaves: list[tuple[BatchedExecutionState, int]] = []
-    _walk_terminals(root, lambda batch, lane: leaves.append((batch, lane)),
-                    count_only=False)
-    n = cell.n
-    leaves.sort(key=lambda item: tuple(
-        _choice_rank(c, n) for c in item[0].schedule_of(item[1])))
-
-    def _results() -> Iterator[RunResult]:
-        builders: dict[int, Any] = {}  # id() is stable: leaves pins batches
-        for batch, lane in leaves:
-            builder = builders.get(id(batch))
-            if builder is None:
-                builder = builders[id(batch)] = batch._result_builder()
-            yield builder(lane)
-
-    return _results()
-
-
-# ----------------------------------------------------------------------
-# lot-sharded enumeration: picklable sub-tasks over schedule prefixes
-# ----------------------------------------------------------------------
-
-def _normalize_key(obj):
-    """Config-key component with frozensets replaced by sorted tuples
-    (frozenset iteration order is not stable across processes; every
-    other component is ints/None/tuples whose repr is)."""
-    if isinstance(obj, frozenset):
-        return ("fs",) + tuple(sorted(obj))
-    if isinstance(obj, tuple):
-        return tuple(_normalize_key(x) for x in obj)
-    return obj
-
-
-def config_key_digest(key) -> bytes:
-    """Process-stable digest of an ``ExecutionState.config_key()``.
-
-    Two keys digest equal iff they are equal: the only order-unstable
-    components of a config key are frozensets of ints, normalized to
-    sorted tuples before hashing.  Sharded searches exchange these
-    digests instead of raw keys (16 bytes each, picklable, and identical
-    no matter which process computed them)."""
-    return hashlib.blake2b(repr(_normalize_key(key)).encode(),
-                           digest_size=16).digest()
-
-
-@dataclass(frozen=True)
-class ScheduleLot:
-    """One picklable, replayable enumeration sub-task.
-
-    A lot is a set of schedule-prefix backpointers into one cell's
-    choice tree: each prefix names a subtree root (all prefixes share
-    one depth, so a worker reconstructs its
-    :class:`BatchedExecutionState` slice by replicating the root lane
-    and advancing the prefix choices column-wise).  Workers walk every
-    subtree to its terminals — batched when the cell supports it, by
-    the scalar reference otherwise — and return per-prefix results in
-    scalar DFS order, so the parent can reassemble the global DFS order
-    from submission-ordered lot outputs.
-    """
-
-    graph: LabeledGraph
-    protocol: Protocol
-    model_name: str
-    bit_budget: Optional[int]
-    faults: Optional[str]  # canonical spec string (process-stable)
-    prefixes: tuple[tuple[int, ...], ...]
-    batch: bool
-    collect: bool  # False = count terminals only
-
-    @property
-    def model(self) -> ModelSpec:
-        return MODELS_BY_NAME[self.model_name]
-
-
-def _lot_root_slice(lot: ScheduleLot, cell: _BatchCell,
-                    track_sched: bool) -> BatchedExecutionState:
-    """Reconstruct the lot's frontier slice: replicate the root lane
-    once per prefix, then advance the prefix choices column-wise (all
-    prefixes share one depth by construction)."""
-    root = BatchedExecutionState.root(cell, track_sched=track_sched)
-    k = len(lot.prefixes)
-    batch = root.compact(np.zeros(k, dtype=np.int64))
-    for level in range(len(lot.prefixes[0])):
-        batch.advance_all(np.array([p[level] for p in lot.prefixes],
-                                   dtype=np.int64))
-    return batch
-
-
-def _run_lot_batched(lot: ScheduleLot, model: ModelSpec):
-    cell = _BatchCell(lot.graph, lot.protocol, model, lot.bit_budget,
-                      lot.faults)
-    if not lot.collect:
-        slice_ = _lot_root_slice(lot, cell, track_sched=False)
-        return _walk_terminals(slice_, None, count_only=True)
-    slice_ = _lot_root_slice(lot, cell, track_sched=True)
-    leaves: list[tuple[BatchedExecutionState, int]] = []
-    _walk_terminals(slice_, lambda batch, lane: leaves.append((batch, lane)),
-                    count_only=False)
-    n = cell.n
-    leaves.sort(key=lambda item: tuple(
-        _choice_rank(c, n) for c in item[0].schedule_of(item[1])))
-    depth = len(lot.prefixes[0])
-    position = {prefix: i for i, prefix in enumerate(lot.prefixes)}
-    groups: list[list[RunResult]] = [[] for _ in lot.prefixes]
-    builders: dict[int, Any] = {}
-    for batch, lane in leaves:
-        builder = builders.get(id(batch))
-        if builder is None:
-            builder = builders[id(batch)] = batch._result_builder()
-        groups[position[batch.schedule_of(lane)[:depth]]].append(builder(lane))
-    return groups
-
-
-def _run_lot_scalar(lot: ScheduleLot, model: ModelSpec):
-    """Walk the lot's subtrees on one scalar state (one output memo for
-    the whole lot) with :func:`~repro.core.simulator.terminal_states`.
-
-    Counting lots return the terminal total.  Collecting lots return one
-    *lazy* iterator of :class:`RunResult` per prefix, in prefix order;
-    they share the live state, so each must be exhausted before the next
-    is started (exceptions surface while iterating).
-    """
-    state = ExecutionState.initial(lot.graph, lot.protocol, model,
-                                   lot.bit_budget, faults=lot.faults)
-    state.memoize_outputs()
-    root = state.snapshot()
-
-    def below(prefix: tuple[int, ...]) -> Iterator[ExecutionState]:
-        if state.depth != root.depth:
-            state.restore(root)
-        for choice in prefix:
-            state.advance(choice)
-        return terminal_states(state)
-
-    if not lot.collect:
-        return sum(sum(1 for _ in below(prefix)) for prefix in lot.prefixes)
-
-    def group(prefix: tuple[int, ...]) -> Iterator[RunResult]:
-        for leaf in below(prefix):
-            yield leaf.result()
-
-    return (group(prefix) for prefix in lot.prefixes)
-
-
-def walk_lot(lot: ScheduleLot):
-    """The lot's value: batched when the cell supports it, otherwise by
-    the scalar walk, which is also the authority when a batched lane
-    violates.  Counting lots give the terminal total; collecting lots
-    give per-prefix result iterables in prefix order — eager lists when
-    batched, lazy iterators to be consumed one after the other when
-    scalar.  Exceptions propagate raw, from here or while iterating."""
-    model = lot.model
-    if lot.batch and batch_supported(lot.graph, lot.protocol, model):
-        try:
-            return _run_lot_batched(lot, model)
-        except BatchAborted:
-            pass  # the scalar walk raises/collects authoritatively
-    return _run_lot_scalar(lot, model)
-
-
-def run_schedule_lot(lot: ScheduleLot):
-    """Worker entry point (module-level so process pools can pickle it).
-
-    Returns ``("ok", value)`` — per-prefix result lists in scalar DFS
-    order when collecting, the terminal count otherwise — or
-    ``("error", message)``.  Errors are *markers*, never re-raised
-    results: the parent discards the whole sharded attempt and re-runs
-    the serial authority, which raises the original exception at
-    exactly the right point in DFS order.
-    """
-    try:
-        value = walk_lot(lot)
-        if lot.collect:
-            value = [list(group) for group in value]
-        return ("ok", value)
-    except Exception as exc:  # noqa: BLE001 - marker, parent re-runs serial
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
-def expand_enumeration_units(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int],
-    faults: Union[None, str, FaultSpec],
-    min_prefixes: int,
-    max_depth: int = 3,
-) -> list:
-    """Bounded scalar DFS expansion into an ordered *unit* list.
-
-    Units appear in exact scalar DFS order: ``("result", RunResult)``
-    for configurations that terminate above the frontier, and
-    ``("prefix", schedule)`` for depth-``d`` subtree roots.  All
-    prefixes share the one depth ``d`` — the smallest depth (iterative
-    deepening up to ``max_depth``) whose frontier has at least
-    ``min_prefixes`` subtrees, so lots reconstruct their batched slice
-    with column-wise prefix replay.  Exceptions propagate raw; callers
-    fall back to the serial authority, which raises identically.
-    """
-    for depth in range(1, max_depth + 1):
-        units: list = []
-        state = ExecutionState.initial(graph, protocol, model, bit_budget,
-                                       faults=faults)
-
-        def walk(remaining: int) -> None:
-            if state.terminal:
-                units.append(("result", state.result()))
-                return
-            if remaining == 0:
-                units.append(("prefix", state.schedule))
-                return
-            for choice in state.candidates:
-                checkpoint = state.snapshot()
-                state.advance(choice)
-                walk(remaining - 1)
-                state.restore(checkpoint)
-
-        walk(depth)
-        prefixes = sum(1 for kind, _ in units if kind == "prefix")
-        if prefixes == 0 or prefixes >= min_prefixes or depth == max_depth:
-            return units
-    return units  # pragma: no cover - loop always returns
-
-
-def _prefix_weights(prefixes, n: int, faults: Union[None, str, FaultSpec]):
-    """LPT weights for same-depth subtree roots: the
-    :meth:`BatchedExecutionState.subtree_weights` estimate, computable
-    without reconstructing lanes (every prefix event terminates one
-    node, so remaining depth is uniform)."""
-    spec = resolve_faults(faults)
-    slack = 1.0 + (spec.max_crashes + spec.max_losses
-                   + spec.max_duplications)
-    return [math.factorial(min(n - len(p), 20)) * slack for p in prefixes]
-
-
-def _build_lots(graph, protocol, model, bit_budget, faults, prefixes,
-                batch: bool, collect: bool, jobs: int) -> list[ScheduleLot]:
-    canonical = resolve_faults(faults).canonical()
-    weights = _prefix_weights(prefixes, graph.n, faults)
-    return [
-        ScheduleLot(graph, protocol, model.name, bit_budget, canonical,
-                    tuple(prefixes[i] for i in idx.tolist()), batch, collect)
-        for idx in partition_weighted(weights, jobs * 2)
-    ]
-
-
-def _map_lots(lots, jobs: int):
-    """Fan lots through the process backend's submission-ordered map
-    seam (one future per lot — lots are already LPT-balanced)."""
-    from ..runtime.backends import ProcessPoolBackend
-
-    backend = ProcessPoolBackend(jobs=jobs, chunk_size=1)
-    return list(backend.map(run_schedule_lot, lots))
-
-
-def sharded_all_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int] = None,
-    faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: int = 2,
-) -> Optional[list]:
-    """Every terminal :class:`RunResult`, enumerated by ``jobs`` worker
-    processes over balanced subtree lots, in exact scalar DFS order.
-
-    Returns ``None`` whenever the sharded path cannot *prove* field
-    identity — expansion raised, a worker errored or aborted, or the
-    frontier is too small to split — and the caller falls back to the
-    serial authority (which also re-raises any exception at the right
-    point).  Like the batch knob, sharding never changes an observable
-    value; it only produces the same values on more cores.
-    """
-    if np is None:
-        return None
-    try:
-        units = expand_enumeration_units(graph, protocol, model, bit_budget,
-                                         faults, min_prefixes=2 * jobs)
-    except Exception:  # noqa: BLE001 - serial authority re-raises
-        return None
-    prefixes = [payload for kind, payload in units if kind == "prefix"]
-    if not prefixes:
-        return [payload for _, payload in units]
-    if len(prefixes) < 2:
-        return None
-    lots = _build_lots(graph, protocol, model, bit_budget, faults, prefixes,
-                       batch, collect=True, jobs=jobs)
-    try:
-        outputs = _map_lots(lots, jobs)
-    except Exception:  # noqa: BLE001 - pool failure: serial authority
-        return None
-    per_prefix: dict[tuple[int, ...], list[RunResult]] = {}
-    for lot, (status, value) in zip(lots, outputs):
-        if status != "ok":
-            return None
-        for prefix, group in zip(lot.prefixes, value):
-            per_prefix[prefix] = group
-    results: list[RunResult] = []
-    for kind, payload in units:
-        if kind == "result":
-            results.append(payload)
-        else:
-            results.extend(per_prefix[payload])
-    return results
-
-
-def sharded_count_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: int = 2,
-) -> Optional[int]:
-    """Terminal count via worker-sharded subtree lots (``None`` = fall
-    back to the serial path, same contract as
-    :func:`sharded_all_executions`)."""
-    if np is None:
-        return None
-    try:
-        units = expand_enumeration_units(graph, protocol, model, None,
-                                         faults, min_prefixes=2 * jobs)
-    except Exception:  # noqa: BLE001 - serial authority re-raises
-        return None
-    prefixes = [payload for kind, payload in units if kind == "prefix"]
-    terminal_above = sum(1 for kind, _ in units if kind == "result")
-    if not prefixes:
-        return terminal_above
-    if len(prefixes) < 2:
-        return None
-    lots = _build_lots(graph, protocol, model, None, faults, prefixes,
-                       batch, collect=False, jobs=jobs)
-    try:
-        outputs = _map_lots(lots, jobs)
-    except Exception:  # noqa: BLE001 - pool failure: serial authority
-        return None
-    total = terminal_above
-    for status, value in outputs:
-        if status != "ok":
-            return None
-        total += value
-    return total

@@ -32,10 +32,12 @@ module is its classic drivers:
   restored by replay, which is always correct;
 * :func:`all_executions` turns that walk into one :class:`RunResult`
   per schedule — the paper's "for all adversaries" quantifier as a
-  finite check on small graphs — and the lot workers of
-  :mod:`repro.core.batch` run the same walker below each schedule
-  prefix, counting or collecting;
-* :func:`count_executions` sizes the schedule tree.
+  finite check on small graphs.  It is the only enumeration path:
+  exhaustive plan cells run it, and the cell-level lot sharding of
+  :mod:`repro.runtime.sharding` runs the same walker below each schedule
+  prefix of a lot;
+* :func:`count_executions` sizes the schedule tree with the same
+  walker, building no results.
 
 Guided searches that *don't* want to visit the whole tree (greedy,
 beam, branch-and-bound adversaries) drive the same machine from
@@ -132,8 +134,6 @@ def all_executions(
     bit_budget: Optional[int] = None,
     limit: Optional[int] = None,
     faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: Optional[int] = None,
 ) -> Iterator[RunResult]:
     """Enumerate every execution (one per distinct adversary schedule).
 
@@ -157,46 +157,7 @@ def all_executions(
     schedule space — every way the adversary can interleave crashes,
     losses, and duplications with writes — which is the exact ground
     truth the guided fault adversaries are tested against.
-
-    ``batch=True`` routes supported cells (stateless protocol, n <= 64,
-    numpy available, no ``limit``) through the batched
-    structure-of-arrays core (:mod:`repro.core.batch`), which steps the
-    whole frontier in lockstep and yields the *same results in the same
-    order* — pinned by the batch equivalence tests.  Unsupported cells,
-    and any batched run that hits a per-lane violation, silently fall
-    back to this scalar reference, so ``batch=True`` never changes an
-    observable outcome.
-
-    ``jobs=N`` (N > 1) additionally shards the schedule tree across
-    process workers: a bounded parent expansion produces uniform-depth
-    schedule prefixes, ``partition_lots``-style LPT weighting groups
-    them into picklable :class:`~repro.core.batch.ScheduleLot` sub-tasks
-    fanned through ``ProcessPoolBackend.map``, and submission-order
-    reassembly restores the exact serial DFS order.  Like ``batch``,
-    ``jobs`` never changes an observable outcome — any worker error or
-    unsupported cell falls back to this serial path, which raises at
-    exactly the right point.
     """
-    if jobs is not None and jobs > 1 and limit is None:
-        from .batch import sharded_all_executions
-
-        results = sharded_all_executions(graph, protocol, model, bit_budget,
-                                         faults=faults, batch=batch, jobs=jobs)
-        if results is not None:
-            yield from results
-            return
-    if batch and limit is None:
-        from .batch import BatchAborted, batch_supported, batched_all_executions
-
-        if batch_supported(graph, protocol, model):
-            try:
-                results = batched_all_executions(
-                    graph, protocol, model, bit_budget, faults=faults)
-            except BatchAborted:
-                results = None  # scalar rerun raises at the right point
-            if results is not None:
-                yield from results
-                return
     state = ExecutionState.initial(graph, protocol, model, bit_budget,
                                    faults=faults).memoize_outputs()
     produced = 0
@@ -241,36 +202,12 @@ def count_executions(
     protocol: Protocol,
     model: ModelSpec,
     faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: Optional[int] = None,
 ) -> int:
     """Number of distinct schedules (size of the adversary's choice tree).
 
-    The scalar walk counts the leaves of :func:`terminal_states`; no
-    output is decoded and no :class:`RunResult` is built.
-    ``batch=True`` counts terminal configurations breadth-wise on the
-    batched core instead — the pure-enumeration fast path — falling
-    back to the scalar walk for unsupported cells or on a captured
-    violation.  ``jobs=N`` (N > 1) shards the count across process
-    workers (see :func:`all_executions`); the summed total is pinned
-    identical.
+    Counts the leaves of :func:`terminal_states` — the same walk as
+    :func:`all_executions`, with no output decoded and no
+    :class:`RunResult` built.
     """
-    if jobs is not None and jobs > 1:
-        from .batch import sharded_count_executions
-
-        total = sharded_count_executions(graph, protocol, model,
-                                         faults=faults, batch=batch,
-                                         jobs=jobs)
-        if total is not None:
-            return total
-    if batch:
-        from .batch import BatchAborted, batch_supported, batched_count_executions
-
-        if batch_supported(graph, protocol, model):
-            try:
-                return batched_count_executions(graph, protocol, model,
-                                                faults=faults)
-            except BatchAborted:
-                pass  # scalar rerun raises at the right point
     state = ExecutionState.initial(graph, protocol, model, faults=faults)
     return sum(1 for _ in terminal_states(state))

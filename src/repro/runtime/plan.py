@@ -40,11 +40,11 @@ from ..adversaries import (
     default_search_portfolio,
     resolve_score,
 )
-from ..core.execution import replay_schedule
+from ..core.execution import ExecutionState, replay_schedule
 from ..core.models import MODELS_BY_NAME, ModelSpec
 from ..core.protocol import Protocol
 from ..core.schedulers import Scheduler, default_portfolio
-from ..core.simulator import RunResult, all_executions, run
+from ..core.simulator import RunResult, all_executions, run, terminal_states
 from ..faults.spec import FaultSpec, resolve_faults
 from ..graphs.labeled_graph import LabeledGraph
 from ..telemetry import TaskCollection
@@ -109,22 +109,15 @@ class ExecutionTask:
     #: fingerprinted into campaign stores like every other knob, and
     #: ``None`` keeps fault-free tasks byte-identical to pre-fault ones.
     faults: Optional[str] = None
-    #: Batched-core preference: ``True`` routes exhaustive cells through
-    #: the structure-of-arrays fast path (``None``/``False`` keep the
-    #: scalar engine; search cells carry the knob on their strategies).
-    #: Semantics-free by construction — batched results are pinned
-    #: field-identical to scalar — so ``task_fingerprint`` deliberately
-    #: excludes it: the same cell batched or not is the same work.
-    batch: Optional[bool] = None
     #: Warm transposition frontiers: ``(config_key, TableEntry)`` pairs
     #: preloaded into the cell's table before any search runs, served by
     #: a persistent frontier store (see :mod:`repro.campaigns.frontiers`).
     #: ``None`` disables the frontier path entirely; a (possibly empty)
     #: tuple enables it — the cell attaches a table, preloads the seeds,
-    #: and exports its dirty rows on the outcome.  Like ``batch``, the
-    #: knob is report-invariant (warm entries never change a witness,
-    #: only the work done to find it), so ``task_fingerprint``
-    #: deliberately excludes it.
+    #: and exports its dirty rows on the outcome.  The knob is
+    #: report-invariant (warm entries never change a witness, only the
+    #: work done to find it), so ``task_fingerprint`` deliberately
+    #: excludes it.
     frontiers: Optional[tuple] = None
 
     @property
@@ -161,7 +154,7 @@ class ExecutionTask:
             results: Iterable[RunResult] = all_executions(
                 self.graph, self.protocol, model,
                 bit_budget=self.bit_budget, limit=self.exhaustive_limit,
-                faults=self.faults, batch=self.batch is True,
+                faults=self.faults,
             )
         elif self.mode == "search":
             # Always hand the strategies one shared SearchContext so its
@@ -280,17 +273,24 @@ class ExecutionTask:
                 worst, first_deadlock)
 
     def _execute_shard(self, prefixes):
-        """Worker side of a sharded exhaustive cell: replay one lot of
-        schedule prefixes to every terminal below them and aggregate
-        each prefix's group separately, keyed for the parent merge.
-        Scalar groups stream: each leaf is folded as it is produced."""
-        from ..core.batch import ScheduleLot, walk_lot
-
-        lot = ScheduleLot(self.graph, self.protocol, self.model_name,
-                          self.bit_budget, self.faults, tuple(prefixes),
-                          batch=self.batch is True, collect=True)
-        return {prefix: self._shard_partial(group)
-                for prefix, group in zip(lot.prefixes, walk_lot(lot))}
+        """Worker side of a sharded exhaustive cell: walk one scalar
+        state (one output memo for the whole lot) to every terminal
+        below each schedule prefix, folding each leaf as it streams,
+        and return each prefix's partial aggregate keyed for the parent
+        merge.  Exceptions propagate raw."""
+        state = ExecutionState.initial(
+            self.graph, self.protocol, self.model, self.bit_budget,
+            faults=self.faults).memoize_outputs()
+        root = state.snapshot()
+        partials = {}
+        for prefix in prefixes:
+            if state.depth != root.depth:
+                state.restore(root)
+            for choice in prefix:
+                state.advance(choice)
+            partials[prefix] = self._shard_partial(
+                leaf.result() for leaf in terminal_states(state))
+        return partials
 
     def _merge_shards(self, units, partials: dict) -> TaskOutcome:
         """Parent side: walk the DFS unit list, folding above-frontier
@@ -433,11 +433,11 @@ class ExecutionPlan:
         :class:`~repro.adversaries.SearchContext` (one transposition
         table per cell).
 
-        ``batch`` selects the batched structure-of-arrays engine for
-        exhaustive cells and the default portfolio's beam strategy:
-        ``True`` forces it wherever supported, ``False`` pins the
-        scalar engine, ``None`` (default) keeps exhaustive cells scalar
-        and lets the beam auto-detect.  Either way every report is
+        ``batch`` is beam only: it steers the default portfolio's beam
+        strategy.  ``True`` forces the batched structure-of-arrays
+        engine wherever supported, ``False`` pins the scalar engine,
+        ``None`` (default) lets the beam auto-detect.  Exhaustive cells
+        always walk the scalar engine.  Either way every report is
         field-identical — the knob trades time, never semantics.
         """
         if mode not in _MODES:
@@ -517,7 +517,6 @@ class ExecutionPlan:
                         share_table=(share_table
                                      if task_mode == "search" else False),
                         faults=fault_spec,
-                        batch=batch if task_mode == "exhaustive" else None,
                     ))
         return cls(
             tasks=tuple(tasks),

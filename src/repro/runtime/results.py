@@ -12,8 +12,7 @@ order; a :class:`ResultSink` consumes them one at a time, so arbitrarily
 large sweeps never require holding every execution in memory at once.
 :class:`ReportMergeSink` folds per-task reports into a single
 :class:`VerificationReport` via :meth:`VerificationReport.merge` — the
-one merging loop shared by the serial path, the process backend, and the
-deprecated ``verify_protocol_parallel`` shim.
+one merging loop shared by the serial path and the process backend.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ class TaskCollection:
                 model=task.model_name,
                 n=task.graph.n,
                 faults=task.faults,
-                batch=task.batch,
             )
             self._span.__enter__()
         return self

@@ -113,8 +113,6 @@ def _task_row(record: dict) -> list:
     mode = "-"
     if attrs:
         cell = f"{attrs.get('protocol', '?')}/n={attrs.get('n', '?')}"
-        if attrs.get("batch"):
-            cell += " [batch]"
         mode = attrs.get("mode", "?")
     return [
         record["index"],

@@ -116,8 +116,8 @@ class TestHashSeedStability:
     SNIPPET = (
         "from repro.core import SIMASYNC\n"
         "from repro.core.execution import ExecutionState\n"
-        "from repro.core.batch import config_key_digest\n"
-        "from repro.campaigns.frontiers import cell_key, encode_rows\n"
+        "from repro.campaigns.frontiers import (cell_key, config_key_digest,"
+        " encode_rows)\n"
         "from repro.adversaries.transposition import TableEntry\n"
         "from repro.faults.spec import resolve_faults\n"
         "from repro.graphs import generators as gen\n"

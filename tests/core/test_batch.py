@@ -1,13 +1,14 @@
 """Equivalence tests for the batched structure-of-arrays core.
 
 The scalar :class:`~repro.core.execution.ExecutionState` is the only
-semantic authority; :mod:`repro.core.batch` is an equivalence-pinned
-accelerator.  Every test here therefore compares the batched engine
-against the scalar engine *field for field* — full ``RunResult``
-dataclass equality (board entries, activation rounds, bit accounting,
-crashes, decode errors), exact enumeration order, and bit-identical
-configuration digests — across all four timing models and the fault
-spectrum.
+semantic authority; :mod:`repro.core.batch` is the beam search's
+equivalence-pinned engine.  Every test here therefore steps the batched
+core through its beam seams (``root``/``expansion``/``fork``/
+``compact``) and compares it against the scalar engine *field for
+field* — every terminal lane's schedule, bit accounting, deadlock flag
+and crash set against the scalar leaves in DFS order, bit-identical
+configuration digests, and the exception a budget-violating lane
+captures — across all four timing models and the fault spectrum.
 """
 
 from __future__ import annotations
@@ -18,16 +19,10 @@ np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import (
-    BatchedExecutionState,
-    _BatchCell,
-    batch_supported,
-    batched_count_executions,
-    partition_lots,
-)
+from repro.core.batch import BatchedExecutionState, _BatchCell, batch_supported
 from repro.core.execution import ExecutionState
 from repro.core.models import ALL_MODELS, ASYNC, SIMASYNC, SIMSYNC, SYNC
-from repro.core.simulator import all_executions, count_executions
+from repro.core.simulator import count_executions, terminal_states
 from repro.faults.spec import resolve_faults
 from repro.graphs import generators as gen
 from repro.protocols.bfs import EobBfsProtocol
@@ -53,20 +48,100 @@ FIXTURES = [
 FAULTS = [None, "crash:1", "crash:1,loss:1", "dup:1"]
 
 
+def _dfs_key(schedule: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Rank of a schedule in the scalar DFS: at every branch writes come
+    first (ascending), then crash, loss and duplication events, whose
+    signed codes ``-v``, ``-(n+v)``, ``-(2n+v)`` rank as ``n - choice``."""
+    return tuple(c if c > 0 else n - c for c in schedule)
+
+
+def _scalar_leaves(graph, proto, model, faults, budget=None):
+    """``(leaves, exception)``: the scalar walk's terminal tuples in DFS
+    order, up to the exception a step raised (``None`` if none did)."""
+    leaves: list = []
+    try:
+        state = ExecutionState.initial(graph, proto, model, budget,
+                                       faults=faults)
+        for leaf in terminal_states(state):
+            bits = [e.bits for e in leaf.board.entries]
+            leaves.append((leaf.schedule, max(bits, default=0), sum(bits),
+                           leaf.deadlocked, frozenset(leaf.crashed)))
+    except Exception as exc:  # noqa: BLE001 - compared against the lanes
+        return leaves, exc
+    return leaves, None
+
+
+def _frontier_walk(graph, proto, model, faults, budget=None):
+    """``(leaves, violations)`` from stepping the whole batched frontier
+    to every terminal lane: terminal tuples sorted into DFS order, and
+    each dead lane's captured exception keyed by its schedule."""
+    cell = _BatchCell(graph, proto, model, budget, resolve_faults(faults))
+    frontier = BatchedExecutionState.root(cell)
+    leaves: list = []
+    violations: dict = {}
+    while True:
+        for lane, exc in frontier.violations.items():
+            violations[frontier.schedule_of(lane)] = exc
+        live = ~frontier.dead
+        terminal = frontier.terminal_mask() & live
+        for lane in np.nonzero(terminal)[0].tolist():
+            crashed = int(frontier.crashed[lane])
+            leaves.append((
+                frontier.schedule_of(lane),
+                int(frontier.maxb[lane]),
+                int(frontier.totb[lane]),
+                frontier.deadlocked_at(lane),
+                frozenset(v for v in graph.nodes()
+                          if crashed >> (v - 1) & 1),
+            ))
+        frontier = frontier.compact(np.nonzero(live & ~terminal)[0])
+        if not frontier.size:
+            break
+        frontier = frontier.fork(*frontier.expansion())
+    leaves.sort(key=lambda leaf: _dfs_key(leaf[0], graph.n))
+    return leaves, violations
+
+
+def _assert_walk_matches_scalar(graph, proto, model, faults, budget=None):
+    """Terminal lanes equal the scalar leaves in DFS order; when the
+    scalar walk raises, the DFS-first violating lane captured the same
+    exception and exactly the leaves before it are terminal lanes."""
+    scalar, scalar_exc = _scalar_leaves(graph, proto, model, faults, budget)
+    try:
+        leaves, violations = _frontier_walk(graph, proto, model, faults,
+                                            budget)
+    except Exception as exc:  # noqa: BLE001 - round-0 raises are raw
+        assert not scalar and type(exc) is type(scalar_exc)
+        assert str(exc) == str(scalar_exc)
+        return
+    if scalar_exc is None:
+        assert not violations
+        assert leaves == scalar
+        return
+    first = min(violations, key=lambda sched: _dfs_key(sched, graph.n))
+    assert type(violations[first]) is type(scalar_exc)
+    assert str(violations[first]) == str(scalar_exc)
+    cut = _dfs_key(first, graph.n)
+    assert [leaf for leaf in leaves
+            if _dfs_key(leaf[0], graph.n) < cut] == scalar
+
+
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
 @pytest.mark.parametrize("faults", FAULTS)
-def test_all_executions_field_identical(graph, proto, model, faults):
-    scalar = list(all_executions(graph, proto, model, faults=faults))
-    batched = list(all_executions(graph, proto, model, faults=faults,
-                                  batch=True))
-    assert batched == scalar  # full dataclass equality, same order
+def test_terminal_lanes_match_scalar_leaves(graph, proto, model, faults):
+    _assert_walk_matches_scalar(graph, proto, model, faults)
 
 
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
 @pytest.mark.parametrize("faults", [None, "crash:1"])
 def test_count_executions_identical(graph, proto, model, faults):
-    assert (count_executions(graph, proto, model, faults=faults, batch=True)
-            == count_executions(graph, proto, model, faults=faults))
+    """The frontier reaches exactly as many terminal lanes, with
+    pairwise distinct schedules, as the scalar engine counts leaves."""
+    leaves, violations = _frontier_walk(graph, proto, model, faults)
+    assert not violations
+    assert len({leaf[0] for leaf in leaves}) == len(leaves)
+    assert len(leaves) == count_executions(graph, proto, model,
+                                           faults=faults)
 
 
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
@@ -94,104 +169,15 @@ def test_config_keys_bit_identical(graph, proto, model):
             break
 
 
-def test_bit_budget_violation_matches_scalar():
+def test_budget_violating_lane_matches_scalar():
     g = gen.random_k_degenerate(5, 2, seed=0)
     proto = DegenerateBuildProtocol(2)
-    with pytest.raises(Exception) as scalar_exc:
-        list(all_executions(g, proto, SIMASYNC, bit_budget=8))
-    with pytest.raises(Exception) as batched_exc:
-        list(all_executions(g, proto, SIMASYNC, bit_budget=8, batch=True))
-    assert type(batched_exc.value) is type(scalar_exc.value)
-    assert str(batched_exc.value) == str(scalar_exc.value)
-
-
-def test_partition_lots_covers_expansion():
-    g = gen.random_k_degenerate(6, 2, seed=0)
-    cell = _BatchCell(g, DegenerateBuildProtocol(2), SIMASYNC, None,
-                      resolve_faults(None))
-    root = BatchedExecutionState.root(cell)
-    lanes, choices = root.expansion()
-    children = root.fork(lanes, choices)
-    for lots in (1, 2, 3, children.size, children.size + 5):
-        parts = partition_lots(children, lots)
-        assert 1 <= len(parts) <= min(lots, children.size)
-        covered = sorted(lane for part in parts for lane in part.tolist())
-        assert covered == list(range(children.size))
-        # LPT balance: no lot exceeds the ideal share by more than the
-        # largest single subtree weight.
-        weights = children.subtree_weights().tolist()
-        lot_weights = [sum(weights[i] for i in part.tolist())
-                       for part in parts]
-        if len(parts) > 1:
-            assert max(lot_weights) <= (sum(weights) / len(parts)
-                                        + max(weights))
-
-
-def test_partition_weighted_more_lots_than_items():
-    """Requesting more lots than items degrades to one singleton lot per
-    item (empty groups are dropped, never returned)."""
-    from repro.core.batch import partition_weighted
-
-    parts = partition_weighted([3.0, 1.0, 2.0], 8)
-    assert len(parts) == 3
-    assert sorted(i for part in parts for i in part.tolist()) == [0, 1, 2]
-    assert all(part.size == 1 for part in parts)
-
-
-def test_partition_weighted_single_item_and_empty():
-    from repro.core.batch import partition_weighted
-
-    [only] = partition_weighted([7.0], 4)
-    assert only.tolist() == [0]
-    assert partition_weighted([], 4) == []
-    assert partition_weighted(np.zeros(0), 1) == []
-
-
-def test_partition_weighted_equal_weights_deterministic():
-    """All-equal weights: the stable descending sort keeps index order,
-    so the greedy deals indices round-robin — the same grouping every
-    call, pinned here so process-sharded lots are reproducible."""
-    from repro.core.batch import partition_weighted
-
-    first = partition_weighted([1.0] * 6, 2)
-    second = partition_weighted([1.0] * 6, 2)
-    assert [p.tolist() for p in first] == [p.tolist() for p in second]
-    assert [p.tolist() for p in first] == [[0, 2, 4], [1, 3, 5]]
-
-
-def test_partition_lots_single_lane_and_empty_frontier():
-    """A one-lane frontier yields one singleton lot; a fully-compacted
-    (empty) frontier yields no lots at all."""
-    g = gen.random_k_degenerate(4, 2, seed=0)
-    cell = _BatchCell(g, DegenerateBuildProtocol(2), SIMASYNC, None,
-                      resolve_faults(None))
-    root = BatchedExecutionState.root(cell)
-    assert root.size == 1
-    [only] = partition_lots(root, 3)
-    assert only.tolist() == [0]
-    empty = root.compact(np.zeros(0, dtype=np.int64))
-    assert partition_lots(empty, 2) == []
-
-
-def test_partition_lots_weights_follow_compact():
-    """``subtree_weights`` is recomputed from the surviving lanes after
-    ``compact()``: partitioning the compacted frontier equals
-    partitioning the surviving lanes' weights directly."""
-    g = gen.random_k_degenerate(5, 2, seed=0)
-    cell = _BatchCell(g, DegenerateBuildProtocol(2), SIMASYNC, None,
-                      resolve_faults(None))
-    root = BatchedExecutionState.root(cell)
-    lanes, choices = root.expansion()
-    children = root.fork(lanes, choices)
-    keep = np.arange(0, children.size, 2, dtype=np.int64)
-    surviving = children.compact(keep)
-    expected = children.subtree_weights()[keep]
-    assert surviving.subtree_weights().tolist() == expected.tolist()
-    from repro.core.batch import partition_weighted
-
-    direct = [p.tolist() for p in partition_weighted(expected, 2)]
-    via_lots = [p.tolist() for p in partition_lots(surviving, 2)]
-    assert via_lots == direct
+    _, scalar_exc = _scalar_leaves(g, proto, SIMASYNC, None, budget=8)
+    assert scalar_exc is not None
+    _, violations = _frontier_walk(g, proto, SIMASYNC, None, budget=8)
+    assert violations
+    assert {type(exc) for exc in violations.values()} == {type(scalar_exc)}
+    _assert_walk_matches_scalar(g, proto, SIMASYNC, None, budget=8)
 
 
 @st.composite
@@ -216,26 +202,6 @@ def _random_cells(draw):
 
 @given(_random_cells())
 @settings(max_examples=40, deadline=None)
-def test_random_cells_batched_equals_scalar(cell):
+def test_random_cells_frontier_matches_scalar(cell):
     graph, proto, model, faults, budget = cell
-    try:
-        scalar = list(all_executions(graph, proto, model, bit_budget=budget,
-                                     faults=faults))
-        scalar_exc = None
-    except Exception as exc:  # budget violations must match too
-        scalar, scalar_exc = None, exc
-    try:
-        batched = list(all_executions(graph, proto, model, bit_budget=budget,
-                                      faults=faults, batch=True))
-        batched_exc = None
-    except Exception as exc:
-        batched, batched_exc = None, exc
-    if scalar_exc is None:
-        assert batched_exc is None
-        assert batched == scalar
-        if budget is None:
-            assert (count_executions(graph, proto, model, faults=faults,
-                                     batch=True) == len(scalar))
-    else:
-        assert type(batched_exc) is type(scalar_exc)
-        assert str(batched_exc) == str(scalar_exc)
+    _assert_walk_matches_scalar(graph, proto, model, faults, budget)

@@ -98,17 +98,6 @@ class TestEngagement:
         results = list(all_executions(GRAPH, proto, SIMASYNC, faults=faults))
         assert len(proto.calls) == sum(r.success for r in results)
 
-    def test_batched_builder_shares_the_memo_path(self, faults):
-        pytest.importorskip("numpy")
-        from repro.core.batch import batched_all_executions
-
-        proto = CountingDecode()
-        results = list(batched_all_executions(GRAPH, proto, SIMASYNC,
-                                              faults=faults))
-        assert len(proto.calls) == len(_multisets(results))
-        assert results == list(_all_executions_replay(
-            GRAPH, CountingDecode(), SIMASYNC, None, faults=faults))
-
 
 def test_copies_share_the_memo():
     proto = CountingDecode()
@@ -182,7 +171,7 @@ def _reference(kind: str, faults):
     original = plan_module.all_executions
 
     def replay(graph, protocol, model, bit_budget=None, limit=None,
-               faults=None, batch=False):
+               faults=None):
         assert limit is None
         return _all_executions_replay(graph, protocol, model, bit_budget,
                                       faults=faults)

@@ -3,11 +3,10 @@
 :mod:`repro.runtime.sharding` lowers a task list into whole-task items
 plus schedule-prefix lots, the process backend fans them through its
 ordinary ``map`` seam, and ``reassemble`` folds the per-prefix partial
-aggregates back in DFS unit order.  The contract mirrors the batch
-knob's: the merged :class:`TaskOutcome` is field-identical to
-``task.execute()``, any failure falls back to the serial authority, and
-the whole mechanism is invisible to campaign fingerprints (a sharded
-cell is the same work).
+aggregates back in DFS unit order.  The contract: the merged
+:class:`TaskOutcome` is field-identical to ``task.execute()``, any
+failure falls back to the serial authority, and the whole mechanism is
+invisible to campaign fingerprints (a sharded cell is the same work).
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import json
 import os
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.checkers import default_checker
 from repro.core.models import MODELS_BY_NAME
@@ -197,3 +194,165 @@ class TestShardTelemetry:
         assert tracer.metrics.counter("shard.fallbacks").value == 1
         (event,) = [e for e in tracer.events if e[0] == "shard.fallback"]
         assert event[2]["reason"] == "lot-error"
+
+
+class TestPartitionWeighted:
+    def test_more_lots_than_items(self):
+        """Requesting more lots than items degrades to one singleton lot
+        per item (empty groups are dropped, never returned)."""
+        parts = sharding.partition_weighted([3.0, 1.0, 2.0], 8)
+        assert len(parts) == 3
+        assert sorted(i for part in parts for i in part) == [0, 1, 2]
+        assert all(len(part) == 1 for part in parts)
+
+    def test_single_item_and_empty(self):
+        assert sharding.partition_weighted([7.0], 4) == [[0]]
+        assert sharding.partition_weighted([], 4) == []
+
+    def test_equal_weights_deterministic(self):
+        """All-equal weights: the stable descending sort keeps index
+        order, so the greedy deals indices round-robin — the same
+        grouping every call, so sharded lots are reproducible."""
+        first = sharding.partition_weighted([1.0] * 6, 2)
+        assert first == sharding.partition_weighted([1.0] * 6, 2)
+        assert first == [[0, 2, 4], [1, 3, 5]]
+
+    def test_lpt_balance_covers_items(self):
+        """Every item lands in exactly one ascending lot, and no lot
+        exceeds the ideal share by more than the largest single weight."""
+        weights = [float(w) for w in (24, 6, 6, 2, 2, 2, 1, 1, 120, 24)]
+        for lots in (1, 2, 3, len(weights), len(weights) + 5):
+            parts = sharding.partition_weighted(weights, lots)
+            assert 1 <= len(parts) <= min(lots, len(weights))
+            assert all(part == sorted(part) for part in parts)
+            covered = sorted(i for part in parts for i in part)
+            assert covered == list(range(len(weights)))
+            loads = [sum(weights[i] for i in part) for part in parts]
+            assert max(loads) <= sum(weights) / len(parts) + max(weights)
+
+
+class TestExpansionUnits:
+    def test_units_preserve_dfs_order(self):
+        """Parent expansion is a prefix-exact reordering of the serial
+        DFS: replaying each unit's subtree in unit order reproduces the
+        full serial enumeration."""
+        from repro.core.models import SIMASYNC
+        from repro.core.simulator import all_executions
+
+        g = gen.random_k_degenerate(5, 2, seed=0)
+        proto = DegenerateBuildProtocol(2)
+        units = sharding.expand_enumeration_units(g, proto, SIMASYNC, None,
+                                                  None, min_prefixes=4)
+        prefixes = [p for kind, p in units if kind == "prefix"]
+        assert len(prefixes) >= 4
+        assert len({len(p) for p in prefixes}) == 1  # uniform depth
+        serial = list(all_executions(g, proto, SIMASYNC))
+        rebuilt = []
+        for kind, payload in units:
+            if kind == "result":
+                rebuilt.append(payload)
+            else:
+                rebuilt.extend(r for r in serial
+                               if r.schedule[:len(payload)] == payload)
+        assert rebuilt == serial
+
+    @pytest.mark.parametrize("graph,proto,model", [
+        pytest.param(gen.random_k_degenerate(5, 2, seed=0),
+                     DegenerateBuildProtocol(2), MODELS_BY_NAME["SIMASYNC"],
+                     id="build-simasync"),
+        pytest.param(gen.random_k_degenerate(5, 2, seed=1),
+                     DegenerateBuildProtocol(2), MODELS_BY_NAME["SIMSYNC"],
+                     id="build-simsync"),
+        pytest.param(gen.random_connected_graph(5, 0.7, seed=2),
+                     EobBfsProtocol(), MODELS_BY_NAME["ASYNC"],
+                     id="eob-async"),
+        pytest.param(gen.random_connected_graph(5, 0.5, seed=3),
+                     EobBfsProtocol(), MODELS_BY_NAME["SYNC"], id="eob-sync"),
+    ])
+    @pytest.mark.parametrize("faults", [None, "crash:1"])
+    def test_units_rebuild_serial_enumeration(self, graph, proto, model,
+                                              faults):
+        """Across models and faults: the unit list, with each prefix
+        replaced by the serial results below it, is the serial
+        enumeration itself, and every serial result is covered once."""
+        from repro.core.simulator import all_executions
+
+        units = sharding.expand_enumeration_units(graph, proto, model, None,
+                                                  faults, min_prefixes=4)
+        prefixes = [p for kind, p in units if kind == "prefix"]
+        assert len({len(p) for p in prefixes}) <= 1  # uniform depth
+        serial = list(all_executions(graph, proto, model, faults=faults))
+        rebuilt = []
+        for kind, payload in units:
+            if kind == "result":
+                rebuilt.append(payload)
+            else:
+                rebuilt.extend(r for r in serial
+                               if r.schedule[:len(payload)] == payload)
+        assert rebuilt == serial
+
+
+LOT_FIXTURES = [
+    pytest.param(gen.random_k_degenerate(6, 2, seed=0),
+                 DegenerateBuildProtocol(2), MODELS_BY_NAME["SIMASYNC"],
+                 id="build-simasync"),
+    pytest.param(gen.random_k_degenerate(6, 2, seed=1),
+                 DegenerateBuildProtocol(2), MODELS_BY_NAME["SIMSYNC"],
+                 id="build-simsync"),
+    pytest.param(gen.random_connected_graph(6, 0.7, seed=2),
+                 EobBfsProtocol(), MODELS_BY_NAME["ASYNC"], id="eob-async"),
+    pytest.param(gen.random_connected_graph(6, 0.5, seed=3),
+                 EobBfsProtocol(), MODELS_BY_NAME["SYNC"], id="eob-sync"),
+]
+
+
+def _exhaustive_task(graph, proto, model, faults, bit_budget=None):
+    plan = ExecutionPlan.build(
+        proto, [model], [graph], mode="exhaustive",
+        checker=default_checker(proto), bit_budget=bit_budget,
+        faults=faults, keep_runs=True)
+    (task,) = plan.tasks
+    return task
+
+
+def _run_lots_in_process(task, jobs):
+    """Lower, execute every item here, and reassemble — the sharded
+    path without a pool, so lot errors surface as item statuses."""
+    items, layout = sharding.lower([task], jobs)
+    outputs = [_execute_item(item) for item in items]
+    (outcome,) = list(sharding.reassemble([task], layout, outputs))
+    return layout, outputs, outcome
+
+
+class TestLotMatrix:
+    @pytest.mark.parametrize("graph,proto,model", LOT_FIXTURES)
+    @pytest.mark.parametrize("faults", [None, "crash:1", "loss:1"])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_lot_merge_matches_execute(self, graph, proto, model, faults,
+                                       jobs):
+        """Every fixture × fault budget × worker count: the cell really
+        splits into lots, no lot errors, and the merged outcome —
+        report, kept runs in DFS order, witnesses — is field-identical
+        to the serial ``execute``."""
+        task = _exhaustive_task(graph, proto, model, faults)
+        layout, outputs, outcome = _run_lots_in_process(task, jobs)
+        assert layout[0][0] == "shard"
+        assert layout[0][2] >= 2
+        assert all(status == "ok" for status, _ in outputs)
+        assert _outcome_key(outcome) == _outcome_key(task.execute())
+
+    @pytest.mark.parametrize("faults", [None, "crash:1"])
+    def test_budget_violation_surfaces_as_serial(self, faults):
+        """A bit budget every run breaks: each lot errors, the parent
+        re-runs the cell serially, and the exception it raises is the
+        serial one, type and message."""
+        task = _exhaustive_task(gen.random_k_degenerate(6, 2, seed=0),
+                                DegenerateBuildProtocol(2),
+                                MODELS_BY_NAME["SIMASYNC"], faults,
+                                bit_budget=8)
+        with pytest.raises(Exception) as serial:
+            task.execute()
+        with pytest.raises(Exception) as sharded:
+            _run_lots_in_process(task, 2)
+        assert type(sharded.value) is type(serial.value)
+        assert str(sharded.value) == str(serial.value)

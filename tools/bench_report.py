@@ -68,12 +68,10 @@ def _scale_curve_markers() -> list[str]:
     """Rows the committed scale curve must contain to be fresh.
 
     Mirrors ``benchmarks.bench_scale.CURVE_SIZES`` (benchmarks/ is not
-    a package); widen both together when the curve grows.  The sizes
-    past the scalar cliff are exactly what proves the batched engine
-    kept the curve bending, so each one is a marker.
+    a package); widen both together when the curve grows.  Every size
+    is a marker, and ``verify_seconds`` proves the curve times verdicts.
     """
-    return ([f'"n": {n}' for n in (5, 6, 7, 8, 9)]
-            + ['"batched_seconds"', '"sharded_seconds"', '"verify_seconds"'])
+    return [f'"n": {n}' for n in (5, 6, 7, 8, 9)] + ['"verify_seconds"']
 
 
 #: Committed report sections and the markers that prove freshness.  A
@@ -291,9 +289,9 @@ def render_scale_curve() -> str:
 
     Renders ``reports/scale_curve.json`` (written by
     ``benchmarks/bench_scale.py::test_scale_curve``) so a reviewer sees
-    where the scalar engine cliffs and how far the batched core pushes
-    the same enumeration — and what an exhaustive verdict (``verify``)
-    costs at each size — without re-running the benchmark.
+    what an exhaustive verdict (``verify``) costs at each size, and
+    where the scalar ``count_executions`` walk stops being timed,
+    without re-running the benchmark.
     """
     path = REPORTS_DIR / "scale_curve.json"
     if not path.exists():
@@ -302,21 +300,17 @@ def render_scale_curve() -> str:
         curve = json.loads(path.read_text())
     except ValueError:
         return ""
-    lines = ["", f"Exhaustive enumeration curve ({curve.get('fixture', '?')})",
+    lines = ["", f"Exhaustive verification curve ({curve.get('fixture', '?')})",
              ""]
-    lines.append(f"{'n':>3} {'executions':>12} {'scalar':>10} "
-                 f"{'batched':>10} {'sharded':>10} {'verify':>10}")
+    lines.append(f"{'n':>3} {'executions':>12} {'scalar':>10} {'verify':>10}")
     for row in curve.get("rows", []):
         scalar = row.get("scalar_seconds")
         scalar_cell = f"{scalar:.4f}s" if scalar is not None else "(cliff)"
-        sharded = row.get("sharded_seconds")
-        sharded_cell = f"{sharded:.4f}s" if sharded is not None else "-"
         verify = row.get("verify_seconds")
         verify_cell = f"{verify:.4f}s" if verify is not None else "-"
         lines.append(
             f"{row.get('n', '?'):>3} {row.get('executions', '?'):>12} "
-            f"{scalar_cell:>10} {row.get('batched_seconds', 0):>9.4f}s "
-            f"{sharded_cell:>10} {verify_cell:>10}"
+            f"{scalar_cell:>10} {verify_cell:>10}"
         )
     return "\n".join(lines)
 
