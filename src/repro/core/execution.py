@@ -157,8 +157,8 @@ class ExecutionState:
         "faults", "board", "written", "active", "crashed", "frozen",
         "frozen_bits", "activation_round", "choices", "crashes_left",
         "losses_left", "dups_left", "last_event_bits", "last_event_total",
-        "_journal", "_candidates", "_entry_keys", "_frozen_keys",
-        "_output_memo",
+        "_journal", "_candidates", "_entry_keys", "_board_views",
+        "_frozen_keys", "_output_memo",
     )
 
     def __init__(self) -> None:  # use ExecutionState.initial(...)
@@ -223,6 +223,7 @@ class ExecutionState:
         self._journal = []
         self._candidates = None
         self._entry_keys = []
+        self._board_views = [BoardView(())]
         self._frozen_keys = {}
         self._activation_pass(0)
 
@@ -488,10 +489,27 @@ class ExecutionState:
             return deepcopy(payload)
         return payload
 
+    def board_view(self) -> BoardView:
+        """The protocol-facing view of the current board.
+
+        One view per board state, built once per write event and
+        truncated on undo: ``_board_views[k]`` is the view of the first
+        ``k`` entries and extends ``_board_views[k - 1]``, so every
+        protocol call on one board state shares one view (and whatever
+        :meth:`BoardView.fold` memoized on it).
+        """
+        views = self._board_views
+        entries = self.board.entries
+        k = len(views)
+        while k <= len(entries):
+            views.append(views[-1].extended(entries[k - 1].payload))
+            k += 1
+        return views[-1]
+
     def _view_of(self, v: int) -> NodeView:
         g = self.graph
         return NodeView(node=v, neighbors=g.neighbors(v), n=g.n,
-                        board=self.board.view())
+                        board=self.board_view())
 
     def _activation_pass(self, event: int) -> list[int]:
         """Activate eligible nodes; return them so restore can undo.
@@ -711,6 +729,8 @@ class ExecutionState:
             self.dups_left += 1
         if len(self._entry_keys) > len(self.board.entries):
             del self._entry_keys[len(self.board.entries):]
+        if len(self._board_views) > len(self.board.entries) + 1:
+            del self._board_views[len(self.board.entries) + 1:]
         self.written.discard(node)
         self.active.add(node)
 
@@ -752,6 +772,7 @@ class ExecutionState:
         clone._journal = list(self._journal)
         clone._candidates = self._candidates
         clone._entry_keys = list(self._entry_keys)
+        clone._board_views = list(self._board_views)
         clone._frozen_keys = dict(self._frozen_keys)
         clone._output_memo = self._output_memo
         return clone

@@ -16,6 +16,16 @@ Every function sees only the paper-legal inputs, bundled in a
 ``n``, and the whiteboard payloads.  Protocols must not carry hidden
 per-run mutable state unless they override :meth:`Protocol.fresh` to
 return a clean instance per execution (the hierarchy adapters do).
+
+A protocol that derives its decisions from a parse of the whole board
+can read it through :meth:`BoardView.fold
+<repro.core.whiteboard.BoardView.fold>` instead of re-parsing it on
+every call: the engine extends one view per write, so the fold pays one
+step per payload and every call on the same board shares the result
+(the layer-certified BFS protocols parse this way).  The contract: the
+step function is pure, and the accumulator is immutable — one
+accumulator object is shared by every view that extends it and every
+caller that reads it.
 """
 
 from __future__ import annotations

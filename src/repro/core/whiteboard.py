@@ -11,13 +11,23 @@ Two views exist on purpose:
   paper includes ``ID(v)`` in its message), so exposing author metadata
   to protocols would silently strengthen the model.  Keeping the views
   apart makes that mistake impossible to write.
+
+The engine hands protocols one :class:`BoardView` per board state: each
+write extends the previous view (:meth:`BoardView.extended`), and
+:meth:`BoardView.fold` lets a protocol that parses the whole board do
+so incrementally — every view that extends a parsed one pays one step
+for its new payload instead of a re-parse.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Optional, TypeVar
 
 from ..encoding.bits import Payload, payload_bits
+
+A = TypeVar("A")
 
 __all__ = ["Entry", "Whiteboard", "BoardView"]
 
@@ -35,9 +45,61 @@ class Entry:
 
 @dataclass(frozen=True)
 class BoardView:
-    """Protocol-facing read-only view: ordered payloads only."""
+    """Protocol-facing read-only view: ordered payloads only.
+
+    Equality and hashing see ``payloads`` alone.  ``parent`` — the view
+    of every payload but the last, when this view was built by
+    :meth:`extended` — and the :meth:`fold` memo are bookkeeping that
+    comparisons ignore.
+    """
 
     payloads: tuple[Payload, ...]
+    parent: Optional["BoardView"] = field(default=None, compare=False,
+                                          repr=False)
+    _folds: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
+
+    def extended(self, payload: Payload) -> "BoardView":
+        """The view of this board with ``payload`` written next."""
+        return BoardView(self.payloads + (payload,), self)
+
+    def fold(self, step: Callable[[A, Payload], A], initial: A) -> A:
+        """Memoized left fold of ``step`` over the payloads from ``initial``.
+
+        Equals ``functools.reduce(step, self.payloads, initial)``.  The
+        result is memoized on this view per ``(step, initial)`` pair
+        (``initial`` by identity), and a view built by :meth:`extended`
+        folds by extending its parent's memoized accumulator with its
+        last payload, so a board that grows one write at a time costs
+        one ``step`` per write.  A view with no parent folds its whole
+        payload tuple — the base case of the same recursion, walked
+        iteratively so long boards cannot exhaust the stack.
+
+        The contract: ``step`` is pure (its result depends only on its
+        arguments, and it mutates neither), and accumulators are
+        immutable, because one accumulator object is returned to every
+        caller of this view and extended by every view built on it.
+        """
+        pending: list[BoardView] = []
+        view: Optional[BoardView] = self
+        acc = initial
+        while view is not None:
+            hit = view._folds.get(step)
+            if hit is not None and hit[0] is initial:
+                acc = hit[1]
+                break
+            pending.append(view)
+            view = view.parent
+        else:
+            root = pending.pop()
+            for payload in root.payloads:
+                acc = step(acc, payload)
+            root._folds[step] = (initial, acc)
+        while pending:
+            view = pending.pop()
+            acc = step(acc, view.payloads[-1])
+            view._folds[step] = (initial, acc)
+        return acc
 
     def __len__(self) -> int:
         return len(self.payloads)

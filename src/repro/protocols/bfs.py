@@ -45,6 +45,7 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional, Union
 
 from ..encoding.bits import Payload
@@ -80,11 +81,16 @@ class BfsRecord:
     d_next: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Epoch:
-    """Records of one connected component, in write order."""
+    """Records of one connected component, in write order.
 
-    records: list[BfsRecord]
+    Immutable: an epoch is shared by every parse that extends it, so
+    the layer certificate (:attr:`complete_prefix`) is computed once per
+    epoch value and cached.
+    """
+
+    records: tuple[BfsRecord, ...]
 
     def layer_nodes(self, k: int) -> list[BfsRecord]:
         return [r for r in self.records if r.layer == k]
@@ -102,6 +108,7 @@ class _Epoch:
         expected = sum(r.d_next for r in prev) - 2 * sum(r.d_same for r in prev)
         return bool(prev) and sum(r.d_prev for r in here) == expected
 
+    @cached_property
     def complete_prefix(self) -> int:
         """Largest ``c`` such that layers ``0..c-1`` are all complete
         (``0`` if even the root is missing)."""
@@ -115,18 +122,24 @@ class _Epoch:
     def exhausted(self) -> bool:
         """All layers complete and the last layer emits no further edges."""
         top = self.max_layer()
-        if self.complete_prefix() < top + 1:
+        if self.complete_prefix < top + 1:
             return False
         last = self.layer_nodes(top)
         return sum(r.d_next for r in last) - 2 * sum(r.d_same for r in last) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoardState:
-    """Parsed view of a BFS whiteboard."""
+    """Parsed view of a BFS whiteboard.
 
-    epochs: list[_Epoch]
-    written: set[int]  # every author seen, including INV/ABT writers
+    Immutable (``epochs`` a tuple, ``written`` a frozenset): one state
+    is the :meth:`~repro.core.whiteboard.BoardView.fold` accumulator of
+    its board, shared by every protocol call on that board and extended
+    by every board written on top of it.
+    """
+
+    epochs: tuple[_Epoch, ...]
+    written: frozenset[int]  # every author seen, including INV/ABT writers
     invalid_seen: bool
 
     @property
@@ -141,36 +154,47 @@ class BoardState:
         return None
 
 
+#: The parse of the empty board.
+EMPTY = BoardState((), frozenset(), False)
+
+
+def _parse_step(state: BoardState, payload: Payload) -> BoardState:
+    """``state`` extended by one whiteboard payload: ``ROOT`` records
+    open a new epoch, INV/ABT messages only add their authors."""
+    tag = payload[0]
+    if tag == _TAG_INVALID:
+        return BoardState(state.epochs, state.written | {payload[1]}, True)
+    if tag == _TAG_ABORT:
+        return BoardState(state.epochs, state.written | {payload[1]},
+                          state.invalid_seen)
+    if tag != _TAG_BFS:
+        raise ValueError(f"unrecognised whiteboard payload {payload!r}")
+    if len(payload) == 6:
+        _, node, layer, parent, d_prev, d_next = payload
+        d_same = 0
+    else:
+        _, node, layer, parent, d_prev, d_same, d_next = payload
+    rec = BfsRecord(node, layer, parent, d_prev, d_same, d_next)
+    epochs = state.epochs
+    if parent == ROOT:
+        epochs = epochs + (_Epoch((rec,)),)
+    elif not epochs:
+        raise ValueError("BFS record before any root")
+    else:
+        epochs = epochs[:-1] + (_Epoch(epochs[-1].records + (rec,)),)
+    return BoardState(epochs, state.written | {node}, state.invalid_seen)
+
+
 def parse_board(board: BoardView) -> BoardState:
     """Split the whiteboard into epochs (``ROOT`` records open a new one),
-    skipping INV/ABT messages but tracking their authors."""
-    epochs: list[_Epoch] = []
-    written: set[int] = set()
-    invalid_seen = False
-    for payload in board:
-        tag = payload[0]
-        if tag == _TAG_INVALID:
-            invalid_seen = True
-            written.add(payload[1])
-        elif tag == _TAG_ABORT:
-            written.add(payload[1])
-        elif tag == _TAG_BFS:
-            if len(payload) == 6:
-                _, node, layer, parent, d_prev, d_next = payload
-                d_same = 0
-            else:
-                _, node, layer, parent, d_prev, d_same, d_next = payload
-            rec = BfsRecord(node, layer, parent, d_prev, d_same, d_next)
-            written.add(node)
-            if parent == ROOT:
-                epochs.append(_Epoch([rec]))
-            else:
-                if not epochs:
-                    raise ValueError("BFS record before any root")
-                epochs[-1].records.append(rec)
-        else:
-            raise ValueError(f"unrecognised whiteboard payload {payload!r}")
-    return BoardState(epochs, written, invalid_seen)
+    skipping INV/ABT messages but tracking their authors.
+
+    A memoized fold (:meth:`~repro.core.whiteboard.BoardView.fold`): on
+    the engine's views, which extend one another write by write, each
+    board state is parsed once and each write adds one record.  The
+    returned state is shared, which its immutability makes safe.
+    """
+    return board.fold(_parse_step, EMPTY)
 
 
 def _forest_from_state(state: BoardState) -> BfsForest:
@@ -222,7 +246,7 @@ class _LayeredBfsBase(Protocol):
         epoch = state.current
         assert epoch is not None
         lam = min(r.layer for r in neigh)
-        return epoch.complete_prefix() >= lam + 1
+        return epoch.complete_prefix >= lam + 1
 
     def _bfs_payload(self, view: NodeView, state: BoardState) -> Payload:
         neigh = self._written_neighbor_records(view, state)

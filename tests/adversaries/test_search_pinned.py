@@ -24,12 +24,14 @@ from repro.adversaries import (
     SearchContext,
     TranspositionTable,
     schedule_forces,
+    witness_rank,
 )
-from repro.core.models import SIMASYNC, SIMSYNC, SYNC
+from repro.core.models import ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.simulator import all_executions
 from repro.graphs import generators as gen
-from repro.protocols.bfs import EobBfsProtocol
+from repro.protocols.bfs import EobBfsProtocol, SyncBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
+from repro.protocols.connectivity import ConnectivityProtocol
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "fixtures" / "search_golden.json")
@@ -42,6 +44,14 @@ FIXTURES = [
                  DegenerateBuildProtocol(2), SIMSYNC, id="build-simsync"),
     pytest.param("eob-sync", gen.random_connected_graph(5, 0.5, seed=3),
                  EobBfsProtocol(), SYNC, id="eob-sync"),
+    # The layer-certified BFS protocols decide from a parse of the whole
+    # board, so these cells pin every protocol-facing board view.
+    pytest.param("bfs-sync", gen.random_connected_graph(6, 0.5, seed=2),
+                 SyncBfsProtocol(), SYNC, id="bfs-sync"),
+    pytest.param("connectivity-sync", gen.two_cliques(3),
+                 ConnectivityProtocol(), SYNC, id="connectivity-sync"),
+    pytest.param("eob-async", gen.random_even_odd_bipartite(6, 0.6, seed=1),
+                 EobBfsProtocol(), ASYNC, id="eob-async"),
 ]
 
 FAULTS = [None, "crash:1", "crash:1,loss:1"]
@@ -76,15 +86,17 @@ def _assert_replays(witness, graph, proto, model, faults):
 def test_bnb_search_pinned(fid, graph, proto, model, faults, table):
     """The table-free sweep never prunes and the table run prunes on
     stored bounds; both land on the pinned witness, and both reach the
-    true worst message size of the cell."""
+    cell's true worst ``(deadlock, max bits, total bits)`` rank.  With no
+    deadlock in the cell that is its worst message size; under crash
+    faults the BFS cells can deadlock, and a deadlock outranks bits."""
     witness, fields = _fields(BranchAndBoundAdversary(restarts=0), graph,
                               proto, model, faults, table=table)
     key = f"{fid}|{faults}|{'table' if table else 'plain'}"
     assert fields == GOLDEN["bnb"][key]
     _assert_replays(witness, graph, proto, model, faults)
-    worst = max(r.max_message_bits
+    worst = max((r.corrupted, r.max_message_bits, r.total_bits)
                 for r in all_executions(graph, proto, model, faults=faults))
-    assert witness.bits == worst
+    assert witness_rank(witness) == worst
 
 
 @pytest.mark.parametrize("fid,graph,proto,model", FIXTURES)

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ASYNC, SYNC, MinIdScheduler, RandomScheduler, run
 from repro.core.schedulers import default_portfolio
+from repro.core.execution import ExecutionState
 from repro.core.simulator import all_executions
+from repro.core.whiteboard import BoardView
 from repro.graphs import generators as gen
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.properties import canonical_bfs_forest, is_bipartite, is_even_odd_bipartite
@@ -15,6 +17,7 @@ from repro.protocols.bfs import (
     SyncBfsProtocol,
     parse_board,
 )
+from repro.protocols.connectivity import ConnectivityProtocol
 from repro.protocols.naive import NOT_EOB
 
 
@@ -191,3 +194,129 @@ def test_eob_bfs_decides_property(n, seed, sched_seed):
         assert r.output == canonical_bfs_forest(g)
     else:
         assert r.output == NOT_EOB
+
+
+class _ViewSpy:
+    """Mixin recording every board the engine hands the protocol.
+
+    Stays stateless (``fresh()`` returns ``self``), so the engine keeps
+    its journal-rollback restore path."""
+
+    def __init__(self):
+        self.seen = []
+
+    def wants_to_activate(self, view):
+        self.seen.append(view.board)
+        return super().wants_to_activate(view)
+
+    def message(self, view):
+        self.seen.append(view.board)
+        return super().message(view)
+
+
+class _SpySyncBfs(_ViewSpy, SyncBfsProtocol):
+    pass
+
+
+class _SpyConnectivity(_ViewSpy, ConnectivityProtocol):
+    pass
+
+
+class _SpyEobBfs(_ViewSpy, EobBfsProtocol):
+    pass
+
+
+def _scratch_view(state):
+    return BoardView(tuple(e.payload for e in state.board.entries))
+
+
+def _parsed(board):
+    """``parse_board`` outcome, with a parse error as a comparable value
+    (fault-perturbed boards may be unparseable)."""
+    try:
+        return parse_board(board)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _assert_views(state, spy, allowed):
+    """Every board handed out since the last check, and the state's own
+    view, equals (with the same hash) a from-scratch view of one of the
+    ``allowed`` boards, and parses like a from-scratch parse."""
+    boards = spy.seen + [state.board_view()]
+    spy.seen.clear()
+    assert state.board_view() == _scratch_view(state)
+    for board in boards:
+        assert board in allowed
+        match = next(a for a in allowed if a == board)
+        assert hash(board) == hash(match)
+        assert _parsed(board) == _parsed(BoardView(board.payloads))
+
+
+def _walk_views(state, spy, copies):
+    """Exhaustive DFS with snapshot/restore, checking every board view;
+    at each node a copy() fork takes a step the walk takes last, so a
+    fork that leaked into its origin would show in the origin's first
+    child."""
+    here = _scratch_view(state)
+    _assert_views(state, spy, [here])
+    if copies:
+        fork = state.copy()
+        _assert_views(fork, spy, [here])
+        if fork.candidates:
+            fork.advance(fork.candidates[-1])
+            _assert_views(fork, spy, [here, _scratch_view(fork)])
+    checkpoint = state.snapshot()
+    for choice in state.candidates:
+        state.advance(choice)
+        _assert_views(state, spy, [here, _scratch_view(state)])
+        _walk_views(state, spy, copies)
+        state.restore(checkpoint)
+        _assert_views(state, spy, [here])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from([(_SpySyncBfs, SYNC), (_SpyConnectivity, SYNC),
+                     (_SpyEobBfs, ASYNC), (_SpyEobBfs, SYNC)]),
+    st.sampled_from([None, "crash:1,loss:1", "dup:1"]),
+    st.booleans(),
+)
+def test_engine_views_match_scratch_views_property(n, p, seed, cell, faults,
+                                                   copies):
+    """The engine's incremental board views (one per write, extended on
+    advance, truncated on restore, shared by copy()) and the memoized
+    BFS parse agree with views and parses built from scratch."""
+    spy_cls, model = cell
+    spy = spy_cls()
+    g = gen.random_connected_graph(n, p, seed=seed)
+    state = ExecutionState.initial(g, spy, model, faults=faults)
+    _walk_views(state, spy, copies)
+
+
+def test_fold_extends_parent_memo():
+    """A view built by extended() folds one step past its parent's
+    memoized accumulator; a parentless equal view folds from scratch to
+    the same value."""
+    calls = []
+
+    def step(acc, payload):
+        calls.append(payload)
+        return acc + (payload,)
+
+    root = BoardView(())
+    a = root.extended(("x",))
+    b = a.extended(("y",))
+    assert b.fold(step, ()) == (("x",), ("y",))
+    assert calls == [("x",), ("y",)]
+    assert b.fold(step, ()) == (("x",), ("y",))
+    c = b.extended(("z",))
+    assert c.fold(step, ()) == (("x",), ("y",), ("z",))
+    assert calls == [("x",), ("y",), ("z",)]
+    scratch = BoardView(c.payloads)
+    assert scratch == c and hash(scratch) == hash(c)
+    assert scratch.fold(step, ()) == c.fold(step, ())
+    assert len(calls) == 6
