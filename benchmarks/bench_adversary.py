@@ -108,7 +108,7 @@ def transposition_section(fixtures, reps: int) -> tuple[list[str], bool]:
     lines = ["shared transposition table: portfolio off vs on "
              "(branch-and-bound seeds, the rest consume)", ""]
     header = (f"{'fixture':<24} {'off sec':>9} {'on sec':>9} {'ratio':>6} "
-              f"{'hit rate':>9} {'entries':>8} {'occupancy':>9} agree")
+              f"{'hit rate':>9} {'entries':>8} agree")
     lines.append(header)
     print(header)
     all_agree = True
@@ -133,8 +133,7 @@ def transposition_section(fixtures, reps: int) -> tuple[list[str], bool]:
         all_agree &= agree
         row = (f"{tag:<24} {t_off:>9.4f} {t_on:>9.4f} "
                f"{t_off / t_on:>5.1f}x {table.hit_rate:>9.2f} "
-               f"{len(table):>8} {context.stats.batch_occupancy:>9.2f} "
-               f"{'yes' if agree else 'NO'}")
+               f"{len(table):>8} {'yes' if agree else 'NO'}")
         print(row)
         lines.append(row)
     lines.append("")

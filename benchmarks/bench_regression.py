@@ -39,18 +39,10 @@ a trajectory in ``BENCH_perf.json`` at the repo root so later PRs can see
   timing counts.
 * ``stress_portfolio_n6`` — a stress plan over three n=6 instances,
   each searched by a wide beam (width 720, 4 restarts; ~250k stepped
-  configurations per cell), run end to end through the batched
-  structure-of-arrays engine.  Its "seed" baseline is the identical
-  plan pinned to the scalar engine (``batch=False``) — the seed
-  stepped every configuration one ``ExecutionState`` at a time — and
-  the bench asserts the batched report is field-identical (summary,
-  witnesses, schedules) before timing counts.
-* ``batched_beam_n6`` — one wide beam search (width 128, 4 restarts)
-  stepping its whole frontier as a batch.  Seed baseline: the same
-  search with ``batch=False``; witness and step accounting must match
-  field for field first.  The recorded entry carries the measured
-  ``batch_occupancy`` (fraction of batch-stepped lanes surviving
-  compaction) alongside the timing.
+  configurations per cell), run end to end.  Its seed baseline is the
+  same plan timed on the recording machine; the recorded trajectory
+  has no same-machine gate, but the telemetry-overhead gate runs on
+  these cells.
 * ``bnb_bound_n7`` — the bounded branch-and-bound sweep (admissible
   suffix bounds + transposition table) of an n=7 BUILD cell under a
   one-crash fault budget, against the identical sweep with bounding
@@ -136,12 +128,9 @@ SEED_BASELINE = {
     # recording machine — pre-kernel strategies could not share a
     # transposition table, so the unshared run is their baseline.
     "adversary_table_n6": 0.0116,
-    # Scalar one-at-a-time runs of the identical workloads on the
-    # recording machine — before the batched structure-of-arrays core,
-    # stepping configurations one ExecutionState at a time was the only
-    # execution path, so the scalar engine is the seed baseline.
+    # The identical stress plan on the recording machine, stepping one
+    # ExecutionState at a time.
     "stress_portfolio_n6": 0.6335,
-    "batched_beam_n6": 0.0824,
     # The instrumented execute() with tracing off on the stress
     # portfolio — before telemetry there was no seam at all, so the
     # pre-telemetry execute (~= the NULL_COLLECTION path) is the seed
@@ -173,13 +162,6 @@ SMOKE_FLOORS = {
     # the asynchronous EOB instance (measured ~2.5x; the floor leaves
     # room for runner noise while catching a broken table).
     "adversary_table_ratio": 1.3,
-    # Batched structure-of-arrays engine vs the scalar one-at-a-time
-    # reference on the same plan / same beam config (measured ~12x
-    # for the wide-beam stress portfolio and ~8x for the narrower
-    # standalone beam; the 3x floors catch any silent fall-back to
-    # scalar stepping while riding out shared-runner noise).
-    "stress_portfolio_ratio": 3.0,
-    "batched_beam_ratio": 3.0,
     # Bounded vs boundless branch-and-bound on the identical n=7
     # faulted cell (measured ~600x: the admissible bound collapses the
     # post-incumbent subtrees the boundless sweep exhausts).  The floor
@@ -329,16 +311,14 @@ def _stress_checker(graph, output, result) -> bool:
     return output == graph
 
 
-def _build_stress_plan(batch):
+def _build_stress_plan():
     """The stress_portfolio_n6 plan: three n=6 cells searched by one
-    wide beam (width 720, 4 restarts — a frontier the scalar engine
-    steps ~250k configurations for), every layer honouring the
-    ``batch`` knob.  The exhaustive threshold sits below every instance
-    so each cell is a search cell: materializing exhaustive RunResults
-    is decode-bound (``proto.output`` dominates both engines
-    identically), which would measure the decoder, not the stepping
-    engine.  Witness minimisation is off so the scalar ddmin replays
-    (identical on both sides) do not dilute the measured ratio.
+    wide beam (width 720, 4 restarts — a frontier the engine steps
+    ~250k configurations for).  The exhaustive threshold sits below
+    every instance so each cell is a search cell: materializing
+    exhaustive RunResults is decode-bound (``proto.output`` dominates),
+    which would measure the decoder, not the stepping engine.  Witness
+    minimisation is off so ddmin replays do not dilute the timing.
     """
     from repro.adversaries import BeamSearchAdversary
     from repro.runtime import ExecutionPlan
@@ -347,12 +327,10 @@ def _build_stress_plan(batch):
     return ExecutionPlan.build(
         DegenerateBuildProtocol(2), SIMASYNC, instances,
         mode="stress",
-        adversaries=[BeamSearchAdversary(width=720, restarts=4, seed=0,
-                                         batch=batch)],
+        adversaries=[BeamSearchAdversary(width=720, restarts=4, seed=0)],
         checker=_stress_checker,
         exhaustive_threshold=4,
         minimize_witnesses=False,
-        batch=batch,
     )
 
 
@@ -366,55 +344,13 @@ def _report_snapshot(report):
 
 
 def bench_stress_portfolio_n6(reps: int) -> float:
-    scalar = _report_snapshot(
-        _build_stress_plan(batch=False).verification_report())
-    plan = _build_stress_plan(batch=True)
-    batched = _report_snapshot(plan.verification_report())
-    assert batched == scalar, "batched stress report diverged from scalar"
+    plan = _build_stress_plan()
 
     def one_run():
         report = plan.verification_report()
         assert report.ok
 
     return _median_time(one_run, reps)
-
-
-def _time_scalar_stress_portfolio(reps: int) -> float:
-    plan = _build_stress_plan(batch=False)
-    return _median_time(lambda: plan.verification_report(), reps)
-
-
-def _run_beam_n6(batch):
-    from repro.adversaries import BeamSearchAdversary, SearchContext
-
-    g = gen.random_k_degenerate(6, 2, seed=0)
-    adv = BeamSearchAdversary(width=128, restarts=4, seed=0, batch=batch)
-    ctx = SearchContext()
-    witness = adv.search(g, DegenerateBuildProtocol(2), SIMASYNC, context=ctx)
-    return witness, ctx.stats.steps
-
-
-def bench_batched_beam_n6(reps: int) -> tuple[float, dict]:
-    scalar_witness, scalar_steps = _run_beam_n6(batch=False)
-    witness, steps = _run_beam_n6(batch=True)
-    assert witness == scalar_witness, "batched beam witness diverged"
-    assert steps == scalar_steps, "batched beam step accounting diverged"
-
-    from repro.adversaries import SearchContext
-
-    ctx = SearchContext()
-    g = gen.random_k_degenerate(6, 2, seed=0)
-    from repro.adversaries import BeamSearchAdversary
-
-    adv = BeamSearchAdversary(width=128, restarts=4, seed=0, batch=True)
-    seconds = _median_time(
-        lambda: adv.search(g, DegenerateBuildProtocol(2), SIMASYNC,
-                           context=ctx), reps)
-    return seconds, {"batch_occupancy": round(ctx.stats.batch_occupancy, 3)}
-
-
-def _time_scalar_beam_n6(reps: int) -> float:
-    return _median_time(lambda: _run_beam_n6(batch=False), reps)
 
 
 def bench_telemetry_overhead_n6(reps: int) -> float:
@@ -430,7 +366,7 @@ def bench_telemetry_overhead_n6(reps: int) -> float:
 
     assert not _trace.tracing_enabled(), "bench requires tracing off"
     assert _trace.active() is None
-    plan = _build_stress_plan(batch=True)
+    plan = _build_stress_plan()
     tasks = list(plan.tasks)
     return _median_time(lambda: [t.execute() for t in tasks], reps)
 
@@ -439,7 +375,7 @@ def _time_null_collection_n6(reps: int) -> float:
     """Same cells, no telemetry seam at all: the overhead reference."""
     from repro.telemetry import NULL_COLLECTION
 
-    plan = _build_stress_plan(batch=True)
+    plan = _build_stress_plan()
     tasks = list(plan.tasks)
     return _median_time(
         lambda: [t._run_cell(NULL_COLLECTION) for t in tasks], reps)
@@ -457,7 +393,7 @@ def _telemetry_overhead_ratio(reps: int) -> float:
     from repro.telemetry import tracer as _trace
 
     assert not _trace.tracing_enabled(), "gate requires tracing off"
-    plan = _build_stress_plan(batch=True)
+    plan = _build_stress_plan()
     tasks = list(plan.tasks)
 
     def instrumented():
@@ -572,14 +508,13 @@ BENCHES = {
     "adversary_search_n6": bench_adversary_search_n6,
     "adversary_table_n6": bench_adversary_table_n6,
     "stress_portfolio_n6": bench_stress_portfolio_n6,
-    "batched_beam_n6": bench_batched_beam_n6,
     "bnb_bound_n7": bench_bnb_bound_n7,
     "warm_frontier_n6": bench_warm_frontier_n6,
     "telemetry_overhead_n6": bench_telemetry_overhead_n6,
 }
 
-#: Benches timed in ``--smoke`` runs.  The parallel-verify bench is
-#: excluded: it has no same-machine gate (a serial-vs-pool floor would
+#: Benches timed in ``--smoke`` runs.  The parallel-verify and
+#: stress-portfolio benches are excluded: they have no same-machine gate (a serial-vs-pool floor would
 #: flake on single-core runners, where the honest ratio is ~1.0), so
 #: burning ~9s of CI on an ungated cross-machine number buys nothing —
 #: CI exercises the process backend via ``reproduce-all --jobs 2``
@@ -587,8 +522,7 @@ BENCHES = {
 #: adversary benches are cheap (~5-15 ms) and same-machine gated, so
 #: they stay.
 SMOKE_BENCHES = ("sketch_n96", "all_executions_n6", "adversary_search_n6",
-                 "adversary_table_n6", "stress_portfolio_n6",
-                 "batched_beam_n6", "bnb_bound_n7", "warm_frontier_n6",
+                 "adversary_table_n6", "bnb_bound_n7", "warm_frontier_n6",
                  "telemetry_overhead_n6")
 
 
@@ -685,16 +619,6 @@ def run_smoke_gate(reps: int) -> tuple[dict, list[str]]:
     t_ref = _time_table_off_portfolio(max(1, reps // 2))
     t_now, _extras = bench_adversary_table_n6(reps)
     ratios["adversary_table_ratio"] = round(t_ref / t_now, 2)
-
-    # Batched vs scalar on the same machine; the benches assert report
-    # and witness field-identity before any timing counts.
-    t_ref = _time_scalar_stress_portfolio(max(1, reps // 2))
-    t_now = bench_stress_portfolio_n6(reps)
-    ratios["stress_portfolio_ratio"] = round(t_ref / t_now, 2)
-
-    t_ref = _time_scalar_beam_n6(max(1, reps // 2))
-    t_now, _extras = bench_batched_beam_n6(reps)
-    ratios["batched_beam_ratio"] = round(t_ref / t_now, 2)
 
     # Bounded vs boundless branch-and-bound on the n=7 faulted cell;
     # the bench asserts witness field-identity before any timing counts.

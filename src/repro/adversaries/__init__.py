@@ -89,21 +89,19 @@ __all__ = [
 ]
 
 
-def default_search_portfolio(seed: int = 0, score=None,
-                             batch=None) -> list[AdversarySearch]:
+def default_search_portfolio(seed: int = 0,
+                             score=None) -> list[AdversarySearch]:
     """The standard strategy portfolio used by ``stress`` plans.
 
     Budgets keep every strategy polynomial-ish at large ``n`` while the
     branch-and-bound pass stays exact on small instances.  ``score``
     (a :class:`~repro.adversaries.scoring.ScoreHook`, a registry name,
     or ``None`` for the default bits-greedy measure) is threaded into
-    the greedy and beam policies; ``batch`` is the beam's batched-core
-    preference (``None`` = auto, field-identical either way).
+    the greedy and beam policies.
     """
     return [
         GreedyBitsAdversary(restarts=4, seed=seed, score=score),
-        BeamSearchAdversary(width=8, restarts=1, seed=seed, score=score,
-                            batch=batch),
+        BeamSearchAdversary(width=8, restarts=1, seed=seed, score=score),
         BranchAndBoundAdversary(max_steps=5000, restarts=2, seed=seed),
         DeadlockAdversary(max_steps=5000),
     ]

@@ -45,31 +45,15 @@ class OutOfBudget(Exception):
 class SearchStats:
     """Cumulative accounting across every search a context hosted."""
 
-    __slots__ = ("steps", "searches", "restarts", "batch_children",
-                 "batch_kept", "bound_prunes")
+    __slots__ = ("steps", "searches", "restarts", "bound_prunes")
 
     def __init__(self) -> None:
         self.steps = 0
         self.searches = 0
         self.restarts = 0
-        #: Lanes stepped by batched frontier expansions, and how many of
-        #: them stayed useful (kept in the next frontier or folded into
-        #: a terminal witness) after dedupe/truncation compacted the
-        #: dead lanes away.  Both stay 0 on purely scalar searches.
-        self.batch_children = 0
-        self.batch_kept = 0
         #: Subtrees skipped because an admissible bound (intrinsic or
         #: table-stored) proved they cannot beat the incumbent.
         self.bound_prunes = 0
-
-    @property
-    def batch_occupancy(self) -> float:
-        """Fraction of batch-stepped lanes that survived compaction
-        (kept or terminal) — lane utilisation of the batched core;
-        0.0 when no batched stepping happened."""
-        if not self.batch_children:
-            return 0.0
-        return self.batch_kept / self.batch_children
 
 
 class BudgetMeter:

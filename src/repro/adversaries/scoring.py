@@ -62,38 +62,6 @@ class ScoreHook:
         board = state.board
         return (board.max_bits(), board.total_bits())
 
-    # -- batched scoring ----------------------------------------------
-    #
-    # A hook may score a whole BatchedExecutionState generation at once.
-    # The consistency guard is load-bearing: a subclass that customises
-    # ``prefix_score`` without providing a matching batched form (e.g. a
-    # protocol-supplied census hook) must NOT inherit its parent's
-    # batched scoring — the beam then falls back to the scalar pass,
-    # keeping batched and scalar witnesses field-identical by
-    # construction.
-
-    #: Whether :meth:`batch_prefix_scores` probes board payloads — the
-    #: batched beam then tracks view ids even for models that do not
-    #: otherwise need them.
-    batch_needs_views: bool = False
-
-    def _batch_consistent(self, cls: type) -> bool:
-        """True iff ``self`` still uses ``cls``'s scalar prefix_score
-        (so ``cls``'s batched form scores identically)."""
-        return type(self).prefix_score is cls.prefix_score
-
-    def supports_batch(self) -> bool:
-        """Whether batched beam passes may use this hook's
-        :meth:`batch_prefix_scores` (False falls back to scalar)."""
-        return self._batch_consistent(ScoreHook)
-
-    def batch_prefix_scores(self, batch, lanes) -> list:
-        """``prefix_score`` tuples for ``lanes`` of a
-        :class:`~repro.core.batch.BatchedExecutionState`, in order.
-        Only called when :meth:`supports_batch` is true."""
-        return list(zip(batch.maxb[lanes].tolist(),
-                        batch.totb[lanes].tolist()))
-
 
 class BitsGreedyScore(ScoreHook):
     """The default: maximise message bits (exactly the pre-hook
@@ -124,17 +92,6 @@ class DeadlockFirstScore(ScoreHook):
         return (-len(state.write_candidates), board.max_bits(),
                 board.total_bits())
 
-    def supports_batch(self) -> bool:
-        return self._batch_consistent(DeadlockFirstScore)
-
-    def batch_prefix_scores(self, batch, lanes) -> list:
-        import numpy as np
-
-        writable = np.bitwise_count(batch.write_mask()[lanes])
-        return list(zip((-writable.astype(np.int64)).tolist(),
-                        batch.maxb[lanes].tolist(),
-                        batch.totb[lanes].tolist()))
-
 
 class DecodeFailureScore(ScoreHook):
     """Hunt configurations whose board the protocol cannot decode.
@@ -162,19 +119,6 @@ class DecodeFailureScore(ScoreHook):
         board = state.board
         return (0 if self._decodes(state) else 1, board.max_bits(),
                 board.total_bits())
-
-    batch_needs_views = True  # the probe reads board payloads per lane
-
-    def supports_batch(self) -> bool:
-        return (self._batch_consistent(DecodeFailureScore)
-                and type(self)._decodes is DecodeFailureScore._decodes)
-
-    def batch_prefix_scores(self, batch, lanes) -> list:
-        decodes = batch.cell._decodes
-        return [(0 if decodes(vid) else 1, m, t)
-                for vid, m, t in zip(batch.view[lanes].tolist(),
-                                     batch.maxb[lanes].tolist(),
-                                     batch.totb[lanes].tolist())]
 
 
 SCORE_HOOKS: dict[str, Callable[[], ScoreHook]] = {

@@ -42,8 +42,8 @@ command resumes from the committed prefix.
 the run writes a JSONL telemetry event stream (plus a sibling
 ``*.manifest.json``) without changing any result — reports are
 byte-identical traced or not.  End-of-run kernel summaries (steps,
-batch occupancy, transposition hit-rate) print to *stderr*, keeping
-stdout stable across semantics-free knobs like ``--batch``/``--jobs``.
+searches, transposition hit-rate) print to *stderr*, keeping stdout
+stable across semantics-free knobs like ``--jobs``.
 
 Protocol names come from one registry — :data:`repro.protocols.census.
 CENSUS_BY_KEY` — so ``demo`` choices, ``sweep`` choices and the
@@ -213,14 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adversary fault budget, e.g. 'crash:2,loss:1' "
                          "(kinds: crash, loss, dup); fault events join "
                          "the searched schedule space")
-    st.add_argument("--batch", dest="batch", action="store_true",
-                    default=None,
-                    help="beam only: step the beam search through the "
-                         "batched structure-of-arrays engine where "
-                         "supported (field-identical reports)")
-    st.add_argument("--no-batch", dest="batch", action="store_false",
-                    help="beam only: pin the beam search to the scalar "
-                         "reference engine")
     st.add_argument("--store", default=None, metavar="PATH",
                     help="SQLite result store for opportunistic reuse: "
                          "cells already stored are served from it, "
@@ -492,11 +484,10 @@ def _activated(session):
 
 
 def _kernel_line(kernel) -> None:
-    """End-of-run kernel summary (steps, batch occupancy, table
-    hit-rate).  Printed to *stderr* on purpose: stdout reports are
-    pinned byte-identical across semantics-free knobs (``--batch``,
-    ``--jobs``, tracing), and occupancy is exactly the kind of number
-    that differs across them."""
+    """End-of-run kernel summary (steps, searches, table hit-rate).
+    Printed to *stderr* on purpose: stdout reports are pinned
+    byte-identical across semantics-free knobs (``--jobs``, tracing),
+    and the summary is work accounting, not part of the report."""
     if kernel is not None:
         print(f"    kernel: {kernel.summary()}", file=sys.stderr)
 
@@ -650,7 +641,6 @@ def _stress_protocols(args, backend, instances, store,
             score=args.score,
             share_table=args.share_table,
             faults=args.faults,
-            batch=args.batch,
         )
         report, cached = _run_plan(plan, backend, store,
                                    telemetry=telemetry, kernel=kernel)

@@ -26,13 +26,10 @@ from .schedulers import (
     Scheduler,
     default_portfolio,
 )
-from .batch import BatchedExecutionState, batch_supported
 from .simulator import RunResult, all_executions, count_executions, run
 from .whiteboard import BoardView, Entry, Whiteboard
 
 __all__ = [
-    "BatchedExecutionState",
-    "batch_supported",
     "MessageTooLarge",
     "ProtocolViolation",
     "SchedulerError",

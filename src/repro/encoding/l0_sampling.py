@@ -52,8 +52,7 @@ the ``mod 2^61 - 1`` arithmetic on paired-uint64 half-products (every
 partial fits 64 bits), and :meth:`L0Sampler.batch_update` falls back to
 the scalar loop whenever the stream's weights exceed the guarded int64
 headroom — so the fast path is an accelerator, never a semantics
-change, exactly like the batched execution core in
-:mod:`repro.core.batch`.
+change.
 """
 
 from __future__ import annotations

@@ -419,7 +419,6 @@ class ExecutionPlan:
         score: Optional[str] = None,
         share_table: bool = False,
         faults: Union[None, str, FaultSpec] = None,
-        batch: Optional[bool] = None,
     ) -> "ExecutionPlan":
         """Enumerate the (protocol × model × instance) product into tasks.
 
@@ -432,13 +431,6 @@ class ExecutionPlan:
         search cell's strategies through one shared
         :class:`~repro.adversaries.SearchContext` (one transposition
         table per cell).
-
-        ``batch`` is beam only: it steers the default portfolio's beam
-        strategy.  ``True`` forces the batched structure-of-arrays
-        engine wherever supported, ``False`` pins the scalar engine,
-        ``None`` (default) lets the beam auto-detect.  Exhaustive cells
-        always walk the scalar engine.  Either way every report is
-        field-identical — the knob trades time, never semantics.
         """
         if mode not in _MODES:
             raise ValueError(f"unknown plan mode {mode!r}; expected one of {_MODES}")
@@ -474,7 +466,7 @@ class ExecutionPlan:
         )
         searches = (
             tuple(adversaries) if adversaries is not None
-            else tuple(default_search_portfolio(score=score, batch=batch))
+            else tuple(default_search_portfolio(score=score))
             if mode == "stress"
             else ()
         )

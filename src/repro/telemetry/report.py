@@ -103,10 +103,6 @@ def _task_row(record: dict) -> list:
     explored = metrics.get("search.explored", {}).get("value", "-")
     probes = kernel.get("table_hits", 0) + kernel.get("table_misses", 0)
     hit_rate = f"{kernel['table_hits'] / probes:.2f}" if probes else "-"
-    children = kernel.get("batch_children", 0)
-    occupancy = (
-        f"{kernel.get('batch_kept', 0) / children:.2f}" if children else "-"
-    )
     # A sharded cell merges in the parent, so no per-task tracer ever
     # wrapped it: identity lives in the plan line, not a task span.
     cell = "(merged in parent)"
@@ -122,7 +118,6 @@ def _task_row(record: dict) -> list:
         kernel.get("steps", "-"),
         explored,
         hit_rate,
-        occupancy,
     ]
 
 
@@ -233,7 +228,7 @@ def render_report(trace: TraceData, top: int = 10) -> str:
         out.extend(
             "  " + line for line in _table(
                 ["index", "cell", "mode", "time", "steps", "explored",
-                 "tbl-hit", "occup"],
+                 "tbl-hit"],
                 rows,
             )
         )

@@ -3,7 +3,7 @@ engine's own accounting.
 
 Unlike spans (timing — nondeterministic by nature), a
 :class:`KernelStats` snapshot is a pure function of the work a cell
-did: write-event steps, searches, restarts, batched lane accounting,
+did: write-event steps, searches, restarts, bound prunes,
 transposition-table counters.  Tasks capture one *always* — traced or
 not — so the numbers are identical across serial/process backends and
 traced/untraced runs, and tests pin them field for field against the
@@ -35,7 +35,7 @@ __all__ = [
 class KernelStats:
     """Frozen fold of a cell's deterministic search-kernel counters.
 
-    ``steps``/``searches``/``restarts``/``batch_*`` mirror
+    ``steps``/``searches``/``restarts``/``bound_prunes`` mirror
     :class:`repro.adversaries.kernel.SearchStats`; the ``table_*``
     fields sum the counters of every transposition table the cell
     bound.  All sums, so :meth:`merge` is associative and a campaign
@@ -45,8 +45,6 @@ class KernelStats:
     steps: int = 0
     searches: int = 0
     restarts: int = 0
-    batch_children: int = 0
-    batch_kept: int = 0
     bound_prunes: int = 0
     table_hits: int = 0
     table_misses: int = 0
@@ -58,11 +56,10 @@ class KernelStats:
 
     @property
     def batch_occupancy(self) -> float:
-        """Fraction of batch-stepped lanes that survived compaction;
-        0.0 when no batched stepping happened."""
-        if not self.batch_children:
-            return 0.0
-        return self.batch_kept / self.batch_children
+        """Always 0.0: the batched beam core is gone.  Kept read-only
+        for the benchmark ledger, which still reports the
+        ``core.batch.occupancy`` metric until that metric is retired."""
+        return 0.0
 
     @property
     def table_probes(self) -> int:
@@ -75,10 +72,10 @@ class KernelStats:
 
     def _astuple(self) -> tuple:
         return (
-            self.steps, self.searches, self.restarts, self.batch_children,
-            self.batch_kept, self.bound_prunes, self.table_hits,
-            self.table_misses, self.table_stores, self.table_entries,
-            self.tables, self.frontier_hits, self.frontier_stores,
+            self.steps, self.searches, self.restarts, self.bound_prunes,
+            self.table_hits, self.table_misses, self.table_stores,
+            self.table_entries, self.tables, self.frontier_hits,
+            self.frontier_stores,
         )
 
     def __bool__(self) -> bool:
@@ -109,8 +106,6 @@ class KernelStats:
                 steps=stats.steps,
                 searches=stats.searches,
                 restarts=stats.restarts,
-                batch_children=stats.batch_children,
-                batch_kept=stats.batch_kept,
                 bound_prunes=stats.bound_prunes,
             ))
         for table in tables:
@@ -130,8 +125,6 @@ class KernelStats:
         parts = [f"{self.steps} steps", f"{self.searches} searches"]
         if self.restarts:
             parts.append(f"{self.restarts} restarts")
-        if self.batch_children:
-            parts.append(f"batch occupancy {self.batch_occupancy:.2f}")
         if self.bound_prunes:
             parts.append(f"{self.bound_prunes} bound prunes")
         if self.tables:

@@ -6,7 +6,6 @@ boundless (and exhaustive) sweep, whatever it skipped.  These tests pin
 
 * the admissibility of :meth:`ExecutionState.suffix_bound` (it
   component-wise covers every completion reachable from the state),
-* scalar/batched suffix-bound parity,
 * bounded-sweep exactness against exhaustive enumeration across the
   (table on/off) x (faults on/off) matrix at n <= 6,
 * the partial-frontier table semantics that keep one pruned child from
@@ -106,32 +105,6 @@ class TestSuffixBoundAdmissible:
         while not state.terminal:
             state.advance(state.candidates[0])
         assert state.suffix_bound() == (False, 0, 0)
-
-
-class TestBatchedSuffixBoundParity:
-    @pytest.mark.parametrize("graph,proto,model,faults", CELLS[:3])
-    def test_bit_identical_along_walk(self, graph, proto, model, faults):
-        np = pytest.importorskip("numpy")
-        from repro.core.batch import BatchedExecutionState, _BatchCell
-
-        spec = resolve_faults(faults)
-        cell = _BatchCell(graph, proto, model, None, spec)
-        batch = BatchedExecutionState.root(cell)
-        scalars = [ExecutionState.initial(graph, proto, model, faults=spec)]
-        for _ in range(3):
-            for lane, state in enumerate(scalars):
-                assert batch.suffix_bound_of(lane) == state.suffix_bound()
-            lanes, choices = batch.expansion()
-            if lanes.size == 0:
-                break
-            batch = batch.fork(lanes, choices)
-            scalars = [scalars[p].copy().advance(c)
-                       for p, c in zip(lanes.tolist(), choices.tolist())]
-            live = np.nonzero(~batch.terminal_mask())[0]
-            batch = batch.compact(live)
-            scalars = [scalars[i] for i in live.tolist()]
-            if not scalars:
-                break
 
 
 class TestBoundedSweepExact:

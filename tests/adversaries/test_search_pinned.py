@@ -1,8 +1,9 @@
 """Pinned serial searches: witnesses and explored counts must not move.
 
 Branch-and-bound and the deadlock seeker each run one scalar DFS per
-cell.  ``tests/fixtures/search_golden.json`` records, for every cell of
-the matrix below, the witness (schedule, bits, explored count) and the
+cell; the beam runs one scalar breadth-first pass per restart.
+``tests/fixtures/search_golden.json`` records, for every cell of the
+matrix below, the witness (schedule, bits, explored count) and the
 cumulative ``SearchStats`` the serial search produced when the fixture
 was captured.  Any change to the search order, the pruning rule or the
 step metering shows up here as a field mismatch.  Every witness must
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.adversaries import (
+    BeamSearchAdversary,
     BranchAndBoundAdversary,
     DeadlockAdversary,
     SearchContext,
@@ -57,9 +59,11 @@ FIXTURES = [
 FAULTS = [None, "crash:1", "crash:1,loss:1"]
 
 
-def _fields(strategy, graph, proto, model, faults, table=False):
-    ctx = SearchContext(table=TranspositionTable() if table else None)
-    witness = strategy.search(graph, proto, model, context=ctx,
+def _fields(strategy, graph, proto, model, faults, table=False,
+            bit_budget=None, max_steps=None):
+    ctx = SearchContext(table=TranspositionTable() if table else None,
+                        max_steps=max_steps)
+    witness = strategy.search(graph, proto, model, bit_budget, context=ctx,
                               faults=faults)
     stats = ctx.stats
     record = asdict(witness)
@@ -69,7 +73,6 @@ def _fields(strategy, graph, proto, model, faults, table=False):
     return witness, {
         "witness": record,
         "stats": [stats.steps, stats.searches, stats.restarts,
-                  stats.batch_children, stats.batch_kept,
                   stats.bound_prunes],
     }
 
@@ -107,4 +110,44 @@ def test_deadlock_search_pinned(fid, graph, proto, model, faults,
     witness, fields = _fields(DeadlockAdversary(max_steps=max_steps), graph,
                               proto, model, faults)
     assert fields == GOLDEN["deadlock"][f"{fid}|{faults}|{max_steps}"]
+    _assert_replays(witness, graph, proto, model, faults)
+
+
+BEAM_CELLS = (
+    [pytest.param(faults, {"score": score}, score, id=f"{faults}-{score}")
+     for faults in FAULTS
+     for score in ("bits-greedy", "deadlock-first", "decode-failure")]
+    + [pytest.param(None, {"bit_budget": 4}, "bit_budget=4",
+                    id="bit_budget=4")]
+    + [pytest.param(None, {"max_steps": m}, f"max_steps={m}",
+                    id=f"max_steps={m}") for m in (1, 7, 40, 200)]
+    + [pytest.param(None, {"width": w, "restarts": r},
+                    f"width={w},restarts={r}", id=f"width={w},restarts={r}")
+       for w, r in ((1, 0), (2, 3), (8, 2), (64, 1))]
+    + [pytest.param("dup:1", {}, "bits-greedy", id="dup:1-bits-greedy")]
+)
+
+
+@pytest.mark.parametrize("fid,graph,proto,model", FIXTURES)
+@pytest.mark.parametrize("faults,knobs,variant", BEAM_CELLS)
+def test_beam_search_pinned(fid, graph, proto, model, faults, knobs,
+                            variant):
+    """Each score hook, with and without faults; a bit budget the first
+    write already breaks (the exception type and message are pinned);
+    context step budgets that cut the beam at every depth, where the
+    search falls back to its incumbent or an ascending completion; and
+    beam shapes from one lane to 64."""
+    strategy = BeamSearchAdversary(width=knobs.get("width", 4),
+                                   restarts=knobs.get("restarts", 2), seed=0,
+                                   score=knobs.get("score"))
+    golden = GOLDEN["beam"][f"{fid}|{faults}|{variant}"]
+    try:
+        witness, fields = _fields(
+            strategy, graph, proto, model, faults,
+            bit_budget=knobs.get("bit_budget"),
+            max_steps=knobs.get("max_steps"))
+    except Exception as exc:
+        assert golden == {"error": [type(exc).__name__, str(exc)]}
+        return
+    assert fields == golden
     _assert_replays(witness, graph, proto, model, faults)

@@ -57,7 +57,7 @@ PARTIAL = TableEntry(
 DEADLOCK_FREE = TableEntry(deadlock_free=True, bound=(False, 3, 3))
 
 #: A representative config key: ints, bools, None, nested tuples and
-#: frozensets — every component shape the scalar and batched keys emit.
+#: frozensets — every component shape ``ExecutionState.config_key`` emits.
 SAMPLE_KEY = (
     (1, (2, 3), None),
     frozenset({1, 3, 5}),

@@ -7,7 +7,7 @@ is decoded once per leaf, as before.  The first half of this module
 counts ``output`` calls, so a memo that silently switched off (or on)
 shows up as a wrong count; the second half pins that reports and runs
 stay field-identical to the naive ``_all_executions_replay`` reference
-across faults × jobs × batch, so a memo that served a wrong value shows
+across faults × jobs, so a memo that served a wrong value shows
 up as a diff.
 """
 
@@ -152,10 +152,10 @@ def test_faulted_decode_errors_are_memoised_verdicts():
 N6 = gen.random_k_degenerate(6, 2, seed=0)
 
 
-def _plan(proto, checker, faults, batch):
+def _plan(proto, checker, faults):
     return ExecutionPlan.build(
         proto, [SIMASYNC], [N6], mode="stress", checker=checker,
-        exhaustive_threshold=6, faults=faults, keep_runs=True, batch=batch)
+        exhaustive_threshold=6, faults=faults, keep_runs=True)
 
 
 def _outcome_key(outcome):
@@ -167,7 +167,7 @@ def _outcome_key(outcome):
 def _reference(kind: str, faults):
     """The cell executed with ``_all_executions_replay`` enumerating."""
     proto, checker = _CELLS[kind]
-    task = _plan(proto, checker, faults, None).tasks[0]
+    task = _plan(proto, checker, faults).tasks[0]
     original = plan_module.all_executions
 
     def replay(graph, protocol, model, bit_budget=None, limit=None,
@@ -190,15 +190,12 @@ _CELLS = {
 
 
 @pytest.mark.parametrize("backend", ["serial", "jobs2"])
-@pytest.mark.parametrize("batch", [None, True])
 @pytest.mark.parametrize("kind,faults", [
     ("build", None), ("build", "crash:1"), ("ordered", None),
 ])
-def test_reports_match_replay_reference(kind, faults, batch, backend):
-    if batch or backend == "jobs2":
-        pytest.importorskip("numpy")
+def test_reports_match_replay_reference(kind, faults, backend):
     proto, checker = _CELLS[kind]
-    plan = _plan(proto, checker, faults, batch)
+    plan = _plan(proto, checker, faults)
     runner = (SerialBackend() if backend == "serial"
               else ProcessPoolBackend(jobs=2, chunk_size=1))
     [outcome] = list(runner.run(plan.tasks))
@@ -208,6 +205,6 @@ def test_reports_match_replay_reference(kind, faults, batch, backend):
 def test_faulted_build_cell_records_wrong_outputs():
     """The reference really exercises the memo's faulted path: the
     crash cell has both correct and wrong-output verdicts."""
-    plan = _plan(*_CELLS["build"], "crash:1", None)
+    plan = _plan(*_CELLS["build"], "crash:1")
     report = plan.tasks[0].execute().report
     assert report.failures and len(report.failures) < report.executions

@@ -1,7 +1,7 @@
 """The observation-only invariant, pinned.
 
 Telemetry must never change what the engine computes: for every
-jobs x batch x faults combination, the merged report with tracing ON is
+jobs x faults combination, the merged report with tracing ON is
 field-identical to the report with tracing OFF, and the deterministic
 kernel counters a traced run reports equal the ``SearchStats`` numbers
 the strategies themselves accumulated.
@@ -21,13 +21,13 @@ from repro.runtime.plan import ExecutionPlan
 from repro.telemetry import KernelStats, TaskCollection, set_tracing
 
 
-def _stress_plan(sizes=(4, 6), faults=None, batch=None):
+def _stress_plan(sizes=(4, 6), faults=None):
     proto = DegenerateBuildProtocol(2)
     graphs = [gen.random_k_degenerate(n, 2, seed=0) for n in sizes]
     return ExecutionPlan.build(
         proto, [MODELS_BY_NAME["SIMASYNC"]], graphs, mode="stress",
         checker=default_checker(proto), exhaustive_threshold=5,
-        bit_budget=lambda n: 4096, faults=faults, batch=batch)
+        bit_budget=lambda n: 4096, faults=faults)
 
 
 def _report_key(report):
@@ -41,15 +41,14 @@ def _run(plan, backend):
 
 class TestTraceOnEqualsTraceOff:
     @pytest.mark.parametrize("jobs", [None, 2])
-    @pytest.mark.parametrize("batch", [None, True])
     @pytest.mark.parametrize("faults", [None, "crash:1"])
-    def test_reports_field_identical(self, jobs, batch, faults):
+    def test_reports_field_identical(self, jobs, faults):
         backend = (None if jobs is None
                    else ProcessPoolBackend(jobs=jobs, chunk_size=1))
-        plan = _stress_plan(faults=faults, batch=batch)
+        plan = _stress_plan(faults=faults)
 
         set_tracing(False)
-        off = _run(_stress_plan(faults=faults, batch=batch), backend)
+        off = _run(_stress_plan(faults=faults), backend)
         set_tracing(True)
         try:
             on = _run(plan, backend)
@@ -97,8 +96,7 @@ class TestKernelEqualsSearchStats:
         assert kernel.steps == stats.steps
         assert kernel.searches == stats.searches
         assert kernel.restarts == stats.restarts
-        assert kernel.batch_children == stats.batch_children
-        assert kernel.batch_kept == stats.batch_kept
+        assert kernel.bound_prunes == stats.bound_prunes
 
     def test_task_kernel_matches_direct_search(self):
         # the kernel a task ships home equals the SearchStats numbers a

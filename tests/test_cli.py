@@ -4,6 +4,16 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: The ``kernel:default`` meta row that a stress campaign over
+#: ``build-degenerate`` x ``degenerate2`` (n=6, seed 0, threshold 4)
+#: stored while the beam still had its batched core.
+OLD_KERNEL_ROW = (
+    '{"batch_children": 232, "batch_kept": 92, "bound_prunes": 0, '
+    '"frontier_hits": 0, "frontier_stores": 0, "restarts": 5, '
+    '"searches": 4, "steps": 504, "table_entries": 0, "table_hits": 0, '
+    '"table_misses": 0, "table_stores": 0, "tables": 0}'
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -292,6 +302,27 @@ class TestCampaignCommands:
         out = capsys.readouterr().out
         assert "a: 0 results, 1 trajectory generation(s)" in out
         assert "b: 1 results, 1 trajectory generation(s)" in out
+
+    def test_status_renders_kernel_row_with_retired_fields(self, tmp_path,
+                                                            capsys):
+        """A ``kernel:`` meta row written before the batched beam core
+        was removed still carries ``batch_children``/``batch_kept``; it
+        must load (unknown names are dropped) and ``status`` must still
+        render it."""
+        from repro.campaigns.store import ResultStore
+        from repro.telemetry import KernelStats
+
+        store = str(tmp_path / "old.db")
+        assert main(["campaign", "run", "--quick", "--store", store]) == 0
+        with ResultStore(store) as db:
+            db.set_meta("kernel:default", OLD_KERNEL_ROW)
+            assert db.kernel_summary("default") == KernelStats(
+                steps=504, searches=4, restarts=5)
+        capsys.readouterr()
+        assert main(["campaign", "status", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert ("kernel (last run): 504 steps, 4 searches, 5 restarts\n"
+                in out)
 
     def test_run_without_protocol_or_quick_errors(self, tmp_path):
         with pytest.raises(SystemExit):

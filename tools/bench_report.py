@@ -60,7 +60,7 @@ def _adversary_report_markers() -> list[str]:
     # not a package); widen both together when the sweep grows.
     fault_budgets = ["crash:1", "loss:1", "dup:1", "crash:1,loss:1"]
     return (sorted({s.name for s in default_search_portfolio()})
-            + ["transposition", "fault matrix", "occupancy"]
+            + ["transposition", "fault matrix"]
             + fault_budgets)
 
 
