@@ -43,12 +43,6 @@ a trajectory in ``BENCH_perf.json`` at the repo root so later PRs can see
   same plan timed on the recording machine; the recorded trajectory
   has no same-machine gate, but the telemetry-overhead gate runs on
   these cells.
-* ``bnb_bound_n7`` — the bounded branch-and-bound sweep (admissible
-  suffix bounds + transposition table) of an n=7 BUILD cell under a
-  one-crash fault budget, against the identical sweep with bounding
-  off.  The witness must be field-identical (schedule, bits, total,
-  deadlock) before timing counts — bound pruning buys time, never
-  answers — and the recorded entry carries the prune count.
 * ``warm_frontier_n6`` — one warm-frontier search cell (the
   ``warm_smoke_campaign`` n=6 asynchronous EOB cell) executed with the
   cold run's exported frontier rows preloaded.  Seed baseline: the
@@ -136,11 +130,6 @@ SEED_BASELINE = {
     # pre-telemetry execute (~= the NULL_COLLECTION path) is the seed
     # baseline; the entry pins that the guards stay free.
     "telemetry_overhead_n6": 0.0585,
-    # Boundless (bounds=False) branch-and-bound on the identical n=7
-    # faulted cell on the recording machine — before the admissible
-    # bound lattice, exhausting the subtree was bnb's only way to prove
-    # a frontier exact, so the boundless sweep is the seed baseline.
-    "bnb_bound_n7": 0.6791,
     # Cold (no preloaded frontiers) execution of the identical search
     # cell on the recording machine — before the persistent frontier
     # store every run re-derived its table from scratch.
@@ -162,12 +151,6 @@ SMOKE_FLOORS = {
     # the asynchronous EOB instance (measured ~2.5x; the floor leaves
     # room for runner noise while catching a broken table).
     "adversary_table_ratio": 1.3,
-    # Bounded vs boundless branch-and-bound on the identical n=7
-    # faulted cell (measured ~600x: the admissible bound collapses the
-    # post-incumbent subtrees the boundless sweep exhausts).  The floor
-    # leaves an enormous margin while catching bounds that silently
-    # stop pruning.
-    "bnb_bound_ratio": 1.3,
     # Untraced instrumented execute() vs the guard-free NULL_COLLECTION
     # reference on the identical cells: telemetry that is off must cost
     # nothing, so the honest ratio is ~1.0.  The 0.95 floor allows ~5%
@@ -417,49 +400,6 @@ def _telemetry_overhead_ratio(reps: int) -> float:
     return min(t_ref) / min(t_now)
 
 
-def _bnb_bound_fixture():
-    """The n=7 cell where bounding bites: a faulted BUILD instance
-    whose post-incumbent subtrees a boundless sweep must exhaust."""
-    return gen.random_k_degenerate(7, 2, seed=0), DegenerateBuildProtocol(2)
-
-
-def _run_bnb_n7(bounds: bool):
-    from repro.adversaries import (
-        BranchAndBoundAdversary,
-        SearchContext,
-        TranspositionTable,
-    )
-
-    g7, proto = _bnb_bound_fixture()
-    context = SearchContext(table=TranspositionTable())
-    adversary = BranchAndBoundAdversary(bounds=bounds)
-    witness = adversary.search(g7, proto, SIMASYNC, context=context,
-                               faults="crash:1")
-    return witness, context
-
-
-def bench_bnb_bound_n7(reps: int) -> tuple[float, dict]:
-    """Bounded vs boundless branch-and-bound on one n=7 faulted cell.
-
-    The bounded sweep must return a field-identical witness (bound
-    pruning is admissible: it skips work, never answers) before any
-    timing counts; the recorded entry carries the prune count.
-    """
-    off, _ = _run_bnb_n7(bounds=False)
-    on, context = _run_bnb_n7(bounds=True)
-    assert (on.schedule, on.bits, on.total_bits, on.deadlock) == (
-        off.schedule, off.bits, off.total_bits, off.deadlock
-    ), "bounded bnb witness diverged from the boundless sweep"
-    seconds = _median_time(lambda: _run_bnb_n7(bounds=True), reps)
-    return seconds, {"bound_prunes": context.stats.bound_prunes}
-
-
-def _time_boundless_bnb_n7(reps: int) -> float:
-    """The boundless sweep of the same cell — the pre-bound execution
-    path and the same-machine reference for the smoke gate."""
-    return _median_time(lambda: _run_bnb_n7(bounds=False), reps)
-
-
 def _warm_frontier_tasks():
     """(cold task, warm task, cold outcome) for the warm-frontier cell:
     the warm task preloads exactly what the cold execution exported."""
@@ -508,7 +448,6 @@ BENCHES = {
     "adversary_search_n6": bench_adversary_search_n6,
     "adversary_table_n6": bench_adversary_table_n6,
     "stress_portfolio_n6": bench_stress_portfolio_n6,
-    "bnb_bound_n7": bench_bnb_bound_n7,
     "warm_frontier_n6": bench_warm_frontier_n6,
     "telemetry_overhead_n6": bench_telemetry_overhead_n6,
 }
@@ -522,7 +461,7 @@ BENCHES = {
 #: adversary benches are cheap (~5-15 ms) and same-machine gated, so
 #: they stay.
 SMOKE_BENCHES = ("sketch_n96", "all_executions_n6", "adversary_search_n6",
-                 "adversary_table_n6", "bnb_bound_n7", "warm_frontier_n6",
+                 "adversary_table_n6", "warm_frontier_n6",
                  "telemetry_overhead_n6")
 
 
@@ -619,12 +558,6 @@ def run_smoke_gate(reps: int) -> tuple[dict, list[str]]:
     t_ref = _time_table_off_portfolio(max(1, reps // 2))
     t_now, _extras = bench_adversary_table_n6(reps)
     ratios["adversary_table_ratio"] = round(t_ref / t_now, 2)
-
-    # Bounded vs boundless branch-and-bound on the n=7 faulted cell;
-    # the bench asserts witness field-identity before any timing counts.
-    t_ref = _time_boundless_bnb_n7(max(1, reps // 2))
-    t_now, _extras = bench_bnb_bound_n7(reps)
-    ratios["bnb_bound_ratio"] = round(t_ref / t_now, 2)
 
     # warm_frontier_n6 has no wall-clock floor: at smoke scale the cell
     # is replay/greedy-dominated (~1x wall clock) and the real invariant

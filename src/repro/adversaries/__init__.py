@@ -11,8 +11,8 @@ replayable worst :class:`~repro.adversaries.base.Witness` schedule:
 * :class:`BeamSearchAdversary` — width-bounded best-first frontier over
   prefixes, random-restart tiebreaks.
 * :class:`BranchAndBoundAdversary` — exact sweep with structural
-  pruning (SIMASYNC and frozen-tail collapses), anytime under a step
-  budget with randomised restart passes.
+  pruning (SIMASYNC, frozen-tail and exact-transposition collapses),
+  anytime under a step budget with randomised restart passes.
 * :class:`DeadlockAdversary` — complete deadlock-reachability DFS with
   starvation-first child ordering and configuration memoisation.
 

@@ -45,15 +45,12 @@ class OutOfBudget(Exception):
 class SearchStats:
     """Cumulative accounting across every search a context hosted."""
 
-    __slots__ = ("steps", "searches", "restarts", "bound_prunes")
+    __slots__ = ("steps", "searches", "restarts")
 
     def __init__(self) -> None:
         self.steps = 0
         self.searches = 0
         self.restarts = 0
-        #: Subtrees skipped because an admissible bound (intrinsic or
-        #: table-stored) proved they cannot beat the incumbent.
-        self.bound_prunes = 0
 
 
 class BudgetMeter:

@@ -10,8 +10,9 @@ from that configuration — so knowledge transfers *across* strategies
 inside one stress cell:
 
 * branch-and-bound stores the exact completion frontier of every
-  subtree it fully sweeps, and skips re-expanding a configuration whose
-  frontier it already knows;
+  subtree it fully sweeps (a truncated subtree stores nothing, so every
+  stored frontier is exact), and skips re-expanding a configuration
+  whose frontier it already knows;
 * the deadlock seeker prunes subtrees recorded deadlock-free (by
   itself or by a branch-and-bound sweep) and records the fact when it
   exhausts one;
@@ -27,8 +28,8 @@ single message wins from an empty board, while a suffix with the larger
 total wins once the prefix already wrote something bigger.  An entry
 keeps a **frontier** of completions in first-discovered (DFS) order: a
 later completion is dropped only when an *earlier* one dominates it
-(wins or ties in every context), which both bounds the frontier and —
-because ties keep the earlier witness, exactly like the incumbent
+(wins or ties in every context), which both keeps the frontier small
+and — because ties keep the earlier witness, exactly like the incumbent
 update in the searches — makes table-on and table-off sweeps return
 field-identical witnesses.
 
@@ -50,41 +51,7 @@ from ..telemetry.stats import observe_table
 from .base import Witness
 
 __all__ = ["Completion", "TableEntry", "TranspositionTable",
-           "dominance_frontier", "iter_composed", "best_composed",
-           "merge_bounds", "join_bounds"]
-
-#: An admissible completion bound: ``(deadlock_possible, suffix max
-#: bits, suffix total bits)`` — every completion of the configuration
-#: is component-wise covered (see ``ExecutionState.suffix_bound``).
-Bound = tuple[bool, int, int]
-
-
-def merge_bounds(a: Optional[Bound], b: Optional[Bound]) -> Optional[Bound]:
-    """The tighter of two admissible bounds, component-wise.
-
-    Both are valid upper covers of the same completion set, so their
-    component-wise minimum is too (``False`` beats ``True`` on the
-    deadlock component: a subtree proven deadlock-free by either bound
-    is deadlock-free).  ``None`` means unbounded and loses to anything.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return (a[0] and b[0], min(a[1], b[1]), min(a[2], b[2]))
-
-
-def join_bounds(a: Optional[Bound], b: Optional[Bound]) -> Optional[Bound]:
-    """An admissible cover of the *union* of two completion sets.
-
-    Dual of :func:`merge_bounds`: each input covers its own set, so the
-    component-wise maximum covers both (and dominates each input
-    lexicographically, which is what prune checks compare).  ``None``
-    means unbounded and is absorbing.
-    """
-    if a is None or b is None:
-        return None
-    return (a[0] or b[0], max(a[1], b[1]), max(a[2], b[2]))
+           "dominance_frontier", "iter_composed", "best_composed"]
 
 
 @dataclass(frozen=True)
@@ -116,28 +83,12 @@ class Completion:
 class TableEntry:
     """What the table knows about one configuration.
 
-    ``completions`` is the dominance frontier in first-discovered order;
-    ``exact`` means it enumerates every non-dominated outcome of the
-    full subtree; ``deadlock_free`` is the one fact that is useful on
-    its own — no completion of the configuration deadlocks — and may be
-    known even when the bits frontier is not.
-
-    ``bound`` is an admissible bound ``(deadlock_possible, suffix max
-    bits, suffix total bits)`` — never below the true maximum of what it
-    covers — and *what it covers depends on the completions*:
-
-    * ``completions`` empty: the bound covers **every** completion of
-      the configuration (a truncated or fully bound-pruned subtree).
-    * ``completions`` non-empty, not exact: a **partial frontier** —
-      the bound covers only the *unexplored remainder*, every
-      completion not dominated by a stored one.  A search whose
-      incumbent already beats the remainder bound can consume the
-      partial frontier exactly like an exact hit (the remainder could
-      not have updated its incumbent), so one pruned child no longer
-      poisons an ancestor chain for every later pass.
-
-    An exact entry needs no bound (the frontier is strictly stronger),
-    so ``record_bound``/``record_partial`` skip exact entries.
+    ``completions`` is the dominance frontier in first-discovered order.
+    Only fully swept subtrees record one, so an entry that holds
+    completions is :attr:`exact`: it enumerates every non-dominated
+    outcome of the full subtree.  ``deadlock_free`` is the one fact that
+    is useful on its own — no completion of the configuration deadlocks
+    — and may be known even when the bits frontier is not.
 
     ``warm`` marks an entry served from a persistent frontier store
     (a previous run) rather than recorded by the current one.  Warm
@@ -149,19 +100,13 @@ class TableEntry:
     """
 
     completions: tuple[Completion, ...] = ()
-    exact: bool = False
     deadlock_free: bool = False
-    bound: Optional[Bound] = None
     warm: bool = False
 
-    def effective_bound(self) -> Optional[Bound]:
-        """The entry's bound with the standalone deadlock-free fact
-        folded in (a deadlock-free subtree cannot complete with
-        deadlock, whatever the stored bound says)."""
-        bound = self.bound
-        if bound is not None and self.deadlock_free and bound[0]:
-            return (False, bound[1], bound[2])
-        return bound
+    @property
+    def exact(self) -> bool:
+        """Whether the entry holds the subtree's exact frontier."""
+        return bool(self.completions)
 
 
 def dominance_frontier(
@@ -354,11 +299,9 @@ class TranspositionTable:
         entry = self._entry(key)
         if not entry.exact:
             entry.completions = dominance_frontier(completions)
-            entry.exact = True
             entry.deadlock_free = not any(
                 c.deadlock for c in entry.completions
             )
-            entry.bound = None  # the exact frontier subsumes any bound
             entry.warm = False
             self.stores += 1
             self._dirty.add(key)
@@ -374,68 +317,6 @@ class TranspositionTable:
             entry.deadlock_free = True
             self.stores += 1
             self._dirty.add(key)
-
-    def record_bound(self, key: Optional[tuple],
-                     bound: Optional[Bound]) -> None:
-        """Record (or tighten) the admissible bound of a truncated
-        subtree.  Exact entries are left alone — their frontier already
-        answers every question the bound could.
-
-        Tightening is sound for partial entries too: a whole-subtree
-        bound covers the unexplored remainder a fortiori, so the
-        component-wise minimum is still a remainder cover.  A bound
-        whose deadlock component is ``False`` additionally proves the
-        standalone ``deadlock_free`` fact — no completion it covers can
-        deadlock — which the deadlock seeker prunes on.
-        """
-        if key is None or bound is None:
-            return
-        entry = self._entry(key)
-        if entry.exact:
-            return
-        changed = False
-        merged = merge_bounds(entry.bound, bound)
-        if merged != entry.bound:
-            entry.bound = merged
-            changed = True
-        if not bound[0] and not entry.completions and not entry.deadlock_free:
-            entry.deadlock_free = True
-            changed = True
-        if changed:
-            self.stores += 1
-            self._dirty.add(key)
-
-    def record_partial(self, key: Optional[tuple],
-                       completions: Iterable[Completion],
-                       bound: Optional[Bound]) -> None:
-        """Record a partial frontier: the dominance-filtered completions
-        an incompletely swept subtree *did* discover, plus an admissible
-        bound over the pruned remainder.
-
-        First frontier wins, like :meth:`record_exact` — a later pass in
-        shuffled order must not replace the DFS-first one — and an entry
-        that already holds completions keeps its own bound untouched
-        (remainder bounds from *different* partial decompositions do not
-        compose).  Entries without completions upgrade freely: their
-        whole-subtree bound covers any remainder, so tightening with the
-        new remainder bound stays sound.
-        """
-        if key is None:
-            return
-        entry = self._entry(key)
-        if entry.exact or entry.completions:
-            return
-        entry.completions = dominance_frontier(completions)
-        if not entry.completions:
-            return
-        entry.bound = merge_bounds(entry.bound, bound)
-        entry.deadlock_free = entry.deadlock_free or (
-            not any(c.deadlock for c in entry.completions)
-            and entry.bound is not None and not entry.bound[0]
-        )
-        entry.warm = False
-        self.stores += 1
-        self._dirty.add(key)
 
     # -- persistent frontiers ------------------------------------------
 

@@ -1,10 +1,9 @@
 """Persistent cross-run transposition frontiers: the codec layer.
 
 A warm-frontier campaign run persists what its branch-and-bound and
-deadlock sweeps learned — exact completion frontiers, deadlock-free
-facts, admissible truncation bounds — keyed by *configuration*, so the
-next run over the same cell starts from solved subtrees instead of
-re-expanding them.  This module owns the boundary representation:
+deadlock sweeps learned — exact completion frontiers and deadlock-free
+facts — keyed by *configuration*, so the next run over the same cell
+starts from solved subtrees instead of re-expanding them.  This module owns the boundary representation:
 
 * **cell keys** (:func:`cell_key` / :func:`task_cell_key`): the scope a
   frontier row is valid in — exactly the ``(graph, protocol, model,
@@ -20,10 +19,11 @@ re-expanding them.  This module owns the boundary representation:
   reconstructs real table keys — digests alone could not repopulate a
   table.
 * **entry codec** (:func:`encode_entry` / :func:`decode_entry`):
-  :class:`~repro.adversaries.transposition.TableEntry` round trip,
-  including bound-only entries (truncated subtrees with no frontier).
-  The ``warm`` flag deliberately does not persist: it marks provenance
-  within one run and is re-applied by ``TranspositionTable.preload``.
+  :class:`~repro.adversaries.transposition.TableEntry` round trip:
+  the completions (exactness follows from having any) and the
+  ``deadlock_free`` fact.  The ``warm`` flag deliberately does not
+  persist: it marks provenance within one run and is re-applied by
+  ``TranspositionTable.preload``.
 
 Determinism: :func:`encode_rows` sorts by digest, so the stored order —
 and therefore every load order — is independent of dict/set iteration
@@ -168,15 +168,13 @@ def decode_key(payload: str) -> tuple:
 # ----------------------------------------------------------------------
 
 def encode_entry(entry: TableEntry) -> str:
-    """One table entry as compact JSON; bound-only entries included."""
+    """One table entry as compact JSON."""
     return json.dumps({
         "completions": [
             [c.deadlock, c.max_bits, c.total_bits, list(c.suffix)]
             for c in entry.completions
         ],
-        "exact": entry.exact,
         "deadlock_free": entry.deadlock_free,
-        "bound": None if entry.bound is None else list(entry.bound),
     }, separators=(",", ":"))
 
 
@@ -184,16 +182,13 @@ def decode_entry(payload: str) -> TableEntry:
     """Inverse of :func:`encode_entry` (``warm`` is left ``False``;
     ``TranspositionTable.preload`` marks served entries)."""
     data = json.loads(payload)
-    bound = data["bound"]
     return TableEntry(
         completions=tuple(
             Completion(deadlock=d, max_bits=b, total_bits=t,
                        suffix=tuple(suffix))
             for d, b, t, suffix in data["completions"]
         ),
-        exact=data["exact"],
         deadlock_free=data["deadlock_free"],
-        bound=None if bound is None else (bound[0], bound[1], bound[2]),
     )
 
 

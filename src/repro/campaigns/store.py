@@ -627,8 +627,8 @@ class ResultStore:
         Rows are stamped with this store's salt: a later load under a
         different salt (any source edit) serves none of them.  An
         ``INSERT OR REPLACE`` per digest means re-running a cell
-        replaces its rows with at-least-as-tight knowledge (exact
-        entries are terminal; bounds only ever tighten within a run).
+        replaces its rows with at-least-as-complete knowledge (exact
+        frontiers are terminal; a deadlock-free fact is never retracted).
         """
         from .frontiers import encode_rows
 

@@ -314,63 +314,6 @@ class ExecutionState:
     def terminal(self) -> bool:
         return self.done or not self.write_candidates
 
-    def suffix_bound(self) -> Optional[tuple[bool, int, int]]:
-        """Admissible upper bound on every completion of this state.
-
-        Returns ``(deadlock_possible, suffix_max_bits,
-        suffix_total_bits)`` such that *any* terminal extension of this
-        configuration deadlocks only if ``deadlock_possible``, writes no
-        suffix message larger than ``suffix_max_bits``, and adds at most
-        ``suffix_total_bits`` to the board total.  ``None`` means "no
-        finite bound is available" (synchronous or not-yet-activated
-        writers with no bit budget, or a frozen message outside the
-        payload codec).
-
-        Admissibility argument: a node terminates by writing (its bits
-        on the board once), losing (zero board bits), crashing (zero),
-        or duplicating (bits twice, at most ``dups_left`` times overall,
-        each no larger than the largest writable message).  Active
-        asynchronous writers are pinned to their frozen message; every
-        other writer is capped by ``bit_budget`` because a larger
-        message raises :class:`MessageTooLarge` instead of completing.
-        ``deadlock_possible`` is false when every unterminated node is
-        already active: writes, losses, crashes, and duplications all
-        preserve that invariant (activation never retracts), so a
-        candidate always remains until ``done``.
-        """
-        unterminated = self.graph.n - len(self.written) - len(self.crashed)
-        if unterminated == 0:
-            return (False, 0, 0)
-        deadlock_possible = len(self.active) != unterminated
-        budget = self.bit_budget
-        top = 0
-        total = 0
-        if self.model.asynchronous:
-            frozen_bits = self.frozen_bits
-            for v in self.active:
-                bits = frozen_bits.get(v)
-                if bits is None:
-                    try:
-                        bits = payload_bits(self.frozen[v])
-                    except TypeError:
-                        return None  # advance() will raise the violation
-                    frozen_bits[v] = bits
-                if bits > top:
-                    top = bits
-                total += bits
-            inactive = unterminated - len(self.active)
-        else:
-            inactive = unterminated
-        if inactive:
-            if budget is None:
-                return None
-            if budget > top:
-                top = budget
-            total += inactive * budget
-        if self.dups_left:
-            total += self.dups_left * top
-        return (deadlock_possible, top, total)
-
     def config_key(self) -> tuple:
         """Canonical, always-hashable digest of this configuration.
 

@@ -3,11 +3,11 @@ engine's own accounting.
 
 Unlike spans (timing — nondeterministic by nature), a
 :class:`KernelStats` snapshot is a pure function of the work a cell
-did: write-event steps, searches, restarts, bound prunes,
-transposition-table counters.  Tasks capture one *always* — traced or
-not — so the numbers are identical across serial/process backends and
-traced/untraced runs, and tests pin them field for field against the
-engine's live ``SearchStats`` / ``TranspositionTable`` counters.
+did: write-event steps, searches, restarts, transposition-table
+counters.  Tasks capture one *always* — traced or not — so the numbers
+are identical across serial/process backends and traced/untraced runs,
+and tests pin them field for field against the engine's live
+``SearchStats`` / ``TranspositionTable`` counters.
 
 The table-watch registry here is how private per-cell tables become
 visible without a task attribute: ``TranspositionTable.bind`` calls
@@ -35,7 +35,7 @@ __all__ = [
 class KernelStats:
     """Frozen fold of a cell's deterministic search-kernel counters.
 
-    ``steps``/``searches``/``restarts``/``bound_prunes`` mirror
+    ``steps``/``searches``/``restarts`` mirror
     :class:`repro.adversaries.kernel.SearchStats`; the ``table_*``
     fields sum the counters of every transposition table the cell
     bound.  All sums, so :meth:`merge` is associative and a campaign
@@ -45,7 +45,6 @@ class KernelStats:
     steps: int = 0
     searches: int = 0
     restarts: int = 0
-    bound_prunes: int = 0
     table_hits: int = 0
     table_misses: int = 0
     table_stores: int = 0
@@ -62,6 +61,14 @@ class KernelStats:
         return 0.0
 
     @property
+    def bound_prunes(self) -> int:
+        """Always 0: branch-and-bound no longer prunes on bounds.  Kept
+        read-only for the benchmark ledger, which still reports the
+        ``adversaries.bound_prunes`` metric until that metric is
+        retired."""
+        return 0
+
+    @property
     def table_probes(self) -> int:
         return self.table_hits + self.table_misses
 
@@ -72,10 +79,9 @@ class KernelStats:
 
     def _astuple(self) -> tuple:
         return (
-            self.steps, self.searches, self.restarts, self.bound_prunes,
-            self.table_hits, self.table_misses, self.table_stores,
-            self.table_entries, self.tables, self.frontier_hits,
-            self.frontier_stores,
+            self.steps, self.searches, self.restarts, self.table_hits,
+            self.table_misses, self.table_stores, self.table_entries,
+            self.tables, self.frontier_hits, self.frontier_stores,
         )
 
     def __bool__(self) -> bool:
@@ -106,7 +112,6 @@ class KernelStats:
                 steps=stats.steps,
                 searches=stats.searches,
                 restarts=stats.restarts,
-                bound_prunes=stats.bound_prunes,
             ))
         for table in tables:
             total = total.merge(cls(
@@ -125,8 +130,6 @@ class KernelStats:
         parts = [f"{self.steps} steps", f"{self.searches} searches"]
         if self.restarts:
             parts.append(f"{self.restarts} restarts")
-        if self.bound_prunes:
-            parts.append(f"{self.bound_prunes} bound prunes")
         if self.tables:
             parts.append(
                 f"table hit-rate {self.table_hit_rate:.2f} "

@@ -33,6 +33,7 @@ from repro.adversaries import (
 )
 from repro.adversaries.transposition import (
     Completion,
+    TableEntry,
     best_composed,
     dominance_frontier,
 )
@@ -40,6 +41,7 @@ from repro.core.execution import ExecutionState, replay_schedule
 from repro.core.models import ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.protocol import NodeView, Protocol
 from repro.core.simulator import all_executions
+from repro.faults.spec import resolve_faults
 from repro.graphs import generators as gen
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.protocols.bfs import BipartiteBfsAsyncProtocol, EobBfsProtocol
@@ -213,12 +215,9 @@ class TestDominanceFrontier:
         assert dominance_frontier([bits, dead]) == (bits, dead)
 
     def test_best_composed_is_context_sensitive(self):
-        from repro.adversaries.transposition import TableEntry
-
         tall = Completion(False, 10, 5, (2, 3))
         wide = Completion(False, 5, 20, (3, 2))
-        entry = TableEntry(completions=(tall, wide), exact=True,
-                           deadlock_free=True)
+        entry = TableEntry(completions=(tall, wide), deadlock_free=True)
         g = gen.path_graph(3)
         state = ExecutionState.initial(g, EchoProtocol(), SIMSYNC)
         # Empty prefix: the 10-bit completion wins on max bits.
@@ -262,6 +261,68 @@ class TestTableSemantics:
         table.record_exact(("k",), first)
         table.record_exact(("k",), (Completion(False, 9, 9, (2,)),))
         assert table.get(("k",)).completions == first
+
+    def test_exactness_is_derived_from_completions(self):
+        """An entry is exact exactly when it holds a frontier; the flag
+        cannot be stored or set on its own."""
+        table = TranspositionTable()
+        table.record_deadlock_free(("free",))
+        table.record_exact(("swept",), (Completion(True, 0, 0, ()),))
+        free, swept = table.get(("free",)), table.get(("swept",))
+        assert not free.exact and free.deadlock_free
+        assert swept.exact and not swept.deadlock_free
+        with pytest.raises(AttributeError):
+            free.exact = True
+        with pytest.raises(TypeError):
+            TableEntry(exact=True)
+
+    @pytest.mark.parametrize("faults", ["crash:1", "loss:1"])
+    def test_stored_completions_replay_to_their_accounting(self, faults):
+        """Every completion branch-and-bound stores must describe its
+        own suffix: replaying it from the configuration adds exactly its
+        ``max_bits`` and ``total_bits``.  Messages shrink with the node
+        id, so a frozen tail entered after a crash or loss event (which
+        advances the schedule but writes no entry) starts with its
+        largest message."""
+
+        class Descending(Protocol):
+            name = "descending"
+
+            def message(self, view: NodeView):
+                return (0,) * (10 - view.node)
+
+            def output(self, board, n):
+                return tuple(board)
+
+        g = gen.path_graph(4)
+        table = TranspositionTable()
+        BranchAndBoundAdversary().search(
+            g, Descending(), ASYNC, context=SearchContext(table=table),
+            faults=faults)
+        checked = 0
+
+        def walk(state):
+            nonlocal checked
+            entry = table.get(table.key_for(state))
+            for completion in entry.completions if entry else ():
+                checkpoint = state.snapshot()
+                start = len(state.board)
+                for choice in completion.suffix:
+                    state.advance(choice)
+                bits = [e.bits for e in state.board.entries[start:]]
+                assert (max(bits, default=0), sum(bits)) == (
+                    completion.max_bits, completion.total_bits)
+                checked += 1
+                state.restore(checkpoint)
+            for choice in () if state.terminal else state.candidates:
+                checkpoint = state.snapshot()
+                state.advance(choice)
+                walk(state)
+                state.restore(checkpoint)
+
+        walk(ExecutionState.initial(g, Descending(), ASYNC,
+                                    faults=resolve_faults(faults)))
+        assert checked
 
 
 class TestTableOnOffEquivalence:

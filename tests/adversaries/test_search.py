@@ -16,13 +16,17 @@ from repro.adversaries import (
     BranchAndBoundAdversary,
     DeadlockAdversary,
     GreedyBitsAdversary,
+    SearchContext,
+    TranspositionTable,
     default_search_portfolio,
     worst_witness,
 )
-from repro.core.execution import replay_schedule
+from repro.adversaries import bnb as bnb_module
+from repro.core.execution import ExecutionState, replay_schedule
 from repro.core.models import ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.protocol import NodeView, Protocol
 from repro.core.simulator import all_executions
+from repro.faults.spec import resolve_faults
 from repro.graphs import generators as gen
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.protocols.bfs import BipartiteBfsAsyncProtocol, EobBfsProtocol
@@ -150,7 +154,127 @@ class TestAgainstExhaustive:
         assert replayed.corrupted == witness.deadlock
 
 
+#: Faulted and reliable bnb cells: the SIMASYNC collapse (reliable
+#: only), genuinely branching faulted SIMASYNC trees, and asynchronous
+#: trees with frozen-tail collapses (reliable, and crash-faulted where
+#: a crash can still deadlock a BFS layer).
+BNB_CELLS = [
+    pytest.param(gen.random_k_degenerate(5, 2, seed=0),
+                 DegenerateBuildProtocol(2), SIMASYNC, None,
+                 id="build-simasync-reliable"),
+    pytest.param(gen.random_k_degenerate(5, 2, seed=0),
+                 DegenerateBuildProtocol(2), SIMASYNC, "crash:1",
+                 id="build-simasync-crash"),
+    pytest.param(gen.random_even_odd_bipartite(6, 0.5, seed=1),
+                 EobBfsProtocol(), ASYNC, None,
+                 id="eob-async-reliable"),
+    pytest.param(gen.random_k_degenerate(6, 2, seed=0),
+                 DegenerateBuildProtocol(2), SIMASYNC, "crash:1",
+                 id="build-simasync-n6-crash"),
+    pytest.param(gen.random_even_odd_bipartite(6, 0.5, seed=1),
+                 EobBfsProtocol(), ASYNC, "crash:1",
+                 id="eob-async-crash"),
+    pytest.param(gen.random_k_degenerate(5, 2, seed=0),
+                 DegenerateBuildProtocol(2), SIMASYNC, "crash:1,loss:1",
+                 id="build-simasync-crash-loss"),
+]
+
+#: The cells whose sweep actually branches (and so fills a table): all
+#: but the reliable SIMASYNC collapse, which never consults one.
+BRANCHING_CELLS = [cell for cell in BNB_CELLS
+                   if cell.id != "build-simasync-reliable"]
+
+
+class TestBranchAndBoundExact:
+    @staticmethod
+    def exhaustive_worst(graph, proto, model, faults):
+        """The exhaustive authority: rank-max with first-on-tie."""
+        best = None
+        for r in all_executions(graph, proto, model, faults=faults):
+            rank = (bool(r.deadlocked_nodes), r.max_message_bits,
+                    r.total_bits)
+            if best is None or rank > best[0]:
+                best = (rank, r.schedule)
+        return best
+
+    @pytest.mark.parametrize("graph,proto,model,faults", BNB_CELLS)
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["table-off", "table-on"])
+    def test_field_identical_to_exhaustive(self, graph, proto, model,
+                                           faults, shared):
+        rank, schedule = self.exhaustive_worst(graph, proto, model, faults)
+        ctx = SearchContext(table=TranspositionTable()) if shared else None
+        witness = BranchAndBoundAdversary().search(
+            graph, proto, model, context=ctx, faults=faults)
+        assert (witness.deadlock, witness.bits, witness.total_bits) == rank
+        assert witness.schedule == schedule
+
+    def test_second_search_reuses_exact_entries(self):
+        """A second search over the same shared table must not
+        re-expand what the first stored — witness fields unchanged,
+        strictly less new exploration."""
+        g = gen.random_k_degenerate(6, 2, seed=0)
+        proto = DegenerateBuildProtocol(2)
+        ctx = SearchContext(table=TranspositionTable())
+        first = BranchAndBoundAdversary().search(
+            g, proto, SIMASYNC, context=ctx, faults="crash:1")
+        spent = ctx.stats.steps
+        second = BranchAndBoundAdversary().search(
+            g, proto, SIMASYNC, context=ctx, faults="crash:1")
+        assert (second.schedule, second.bits, second.total_bits) == (
+            first.schedule, first.bits, first.total_bits)
+        assert ctx.stats.steps - spent < spent
+
+    @pytest.mark.parametrize("graph,proto,model,faults", BNB_CELLS)
+    def test_table_free_sweep_builds_no_completions(
+            self, graph, proto, model, faults, monkeypatch):
+        """Frontiers only pay off when a table stores them, so the
+        table-free sweep must never construct a ``Completion``."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("table-free sweep built a Completion")
+
+        monkeypatch.setattr(bnb_module, "Completion", forbidden)
+        rank, schedule = self.exhaustive_worst(graph, proto, model, faults)
+        witness = BranchAndBoundAdversary().search(
+            graph, proto, model, faults=faults)
+        assert (witness.deadlock, witness.bits, witness.total_bits) == rank
+        assert witness.schedule == schedule
+
+    @pytest.mark.parametrize("graph,proto,model,faults", BRANCHING_CELLS)
+    def test_stored_frontiers_are_exact(self, graph, proto, model, faults):
+        """Every entry the sweep stores holds a frontier (so it is
+        exact), none of its completions is dominated by an earlier one,
+        ``deadlock_free`` agrees with it, and the root's frontier ranks
+        the witness first."""
+        table = TranspositionTable()
+        witness = BranchAndBoundAdversary().search(
+            graph, proto, model, context=SearchContext(table=table),
+            faults=faults)
+        rows = table.export_dirty()
+        assert rows
+        for _, entry in rows:
+            assert entry.exact
+            kept = entry.completions
+            assert not any(earlier.dominates(later)
+                           for i, later in enumerate(kept)
+                           for earlier in kept[:i])
+            assert entry.deadlock_free == (
+                not any(c.deadlock for c in kept))
+        root = ExecutionState.initial(graph, proto, model,
+                                      faults=resolve_faults(faults))
+        frontier = table.get(table.key_for(root)).completions
+        best = max(frontier, key=lambda c: (c.deadlock, c.max_bits,
+                                            c.total_bits))
+        assert (best.deadlock, best.max_bits, best.total_bits) == (
+            witness.deadlock, witness.bits, witness.total_bits)
+        assert best.suffix == witness.schedule
+
+
 class TestStrategyMechanics:
+    def test_bnb_has_no_bounds_knob(self):
+        with pytest.raises(TypeError):
+            BranchAndBoundAdversary(bounds=False)
+
     def test_portfolio_is_picklable(self):
         for strategy in default_search_portfolio():
             clone = pickle.loads(pickle.dumps(strategy))

@@ -72,8 +72,7 @@ def _fields(strategy, graph, proto, model, faults, table=False,
         record["minimal_schedule"] = list(record["minimal_schedule"])
     return witness, {
         "witness": record,
-        "stats": [stats.steps, stats.searches, stats.restarts,
-                  stats.bound_prunes],
+        "stats": [stats.steps, stats.searches, stats.restarts],
     }
 
 
@@ -87,8 +86,8 @@ def _assert_replays(witness, graph, proto, model, faults):
 @pytest.mark.parametrize("faults", FAULTS)
 @pytest.mark.parametrize("table", [False, True], ids=["plain", "table"])
 def test_bnb_search_pinned(fid, graph, proto, model, faults, table):
-    """The table-free sweep never prunes and the table run prunes on
-    stored bounds; both land on the pinned witness, and both reach the
+    """The table-free sweep and the table run (which composes stored
+    exact frontiers) both land on the pinned witness, and both reach the
     cell's true worst ``(deadlock, max bits, total bits)`` rank.  With no
     deadlock in the cell that is its worst message size; under crash
     faults the BFS cells can deadlock, and a deadlock outranks bits."""
@@ -100,6 +99,20 @@ def test_bnb_search_pinned(fid, graph, proto, model, faults, table):
     worst = max((r.corrupted, r.max_message_bits, r.total_bits)
                 for r in all_executions(graph, proto, model, faults=faults))
     assert witness_rank(witness) == worst
+
+
+def test_bnb_table_witness_matches_plain():
+    """A transposition table only saves work: every pinned table
+    witness equals its table-free twin in every field but
+    ``explored``."""
+    pinned = GOLDEN["bnb"]
+    pairs = [(key, key[:-len("table")] + "plain")
+             for key in pinned if key.endswith("|table")]
+    assert pairs
+    for table_key, plain_key in pairs:
+        table = dict(pinned[table_key]["witness"], explored=None)
+        plain = dict(pinned[plain_key]["witness"], explored=None)
+        assert table == plain, table_key
 
 
 @pytest.mark.parametrize("fid,graph,proto,model", FIXTURES)

@@ -2,10 +2,10 @@
 
 The frontier store only stays sound if three things hold across process
 and run boundaries: the codec round-trips every entry shape exactly
-(exact frontiers, bound-only entries, partial frontiers), the digests
-and cell keys are stable whatever ``PYTHONHASHSEED`` the process drew,
-and a code edit (salt change) invalidates every persisted row rather
-than serving a stale bound.
+(exact frontiers, deadlock-free facts), the digests and cell keys are
+stable whatever ``PYTHONHASHSEED`` the process drew, and a code edit
+(salt change) invalidates every persisted row rather than serving a
+stale frontier.
 """
 
 from __future__ import annotations
@@ -44,17 +44,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 EXACT = TableEntry(
     completions=(Completion(False, 3, 7, (1, 0, 2)),
                  Completion(True, 0, 0, (2,))),
-    exact=True,
     deadlock_free=False,
 )
-BOUND_ONLY = TableEntry(bound=(True, 5, 11), deadlock_free=False)
-PARTIAL = TableEntry(
+EXACT_DEADLOCK_FREE = TableEntry(
     completions=(Completion(False, 4, 9, (0, 1)),),
-    exact=False,
-    deadlock_free=False,
-    bound=(False, 2, 6),
+    deadlock_free=True,
 )
-DEADLOCK_FREE = TableEntry(deadlock_free=True, bound=(False, 3, 3))
+DEADLOCK_FREE = TableEntry(deadlock_free=True)
 
 #: A representative config key: ints, bools, None, nested tuples and
 #: frozensets — every component shape ``ExecutionState.config_key`` emits.
@@ -69,15 +65,21 @@ SAMPLE_KEY = (
 
 class TestCodec:
     @pytest.mark.parametrize(
-        "entry", [EXACT, BOUND_ONLY, PARTIAL, DEADLOCK_FREE],
-        ids=["exact", "bound-only", "partial", "deadlock-free"])
+        "entry", [EXACT, EXACT_DEADLOCK_FREE, DEADLOCK_FREE],
+        ids=["exact", "exact-deadlock-free", "deadlock-free"])
     def test_entry_round_trip(self, entry):
         decoded = decode_entry(encode_entry(entry))
         assert decoded.completions == entry.completions
         assert decoded.exact == entry.exact
         assert decoded.deadlock_free == entry.deadlock_free
-        assert decoded.bound == entry.bound
         assert decoded.warm is False  # preload re-applies the flag
+
+    def test_entry_json_keeps_completions_and_deadlock_free(self):
+        """Exactness follows from holding completions, so the row
+        stores nothing else."""
+        assert set(json.loads(encode_entry(EXACT))) == {
+            "completions", "deadlock_free"}
+        assert EXACT.exact and not DEADLOCK_FREE.exact
 
     def test_key_round_trip(self):
         assert decode_key(encode_key(SAMPLE_KEY)) == SAMPLE_KEY
@@ -90,7 +92,7 @@ class TestCodec:
 
     def test_rows_sorted_by_digest(self):
         rows = encode_rows([(SAMPLE_KEY, EXACT),
-                            ((frozenset({9}),), BOUND_ONLY)])
+                            ((frozenset({9}),), DEADLOCK_FREE)])
         assert [digest for digest, _, _ in rows] == sorted(
             digest for digest, _, _ in rows)
         decoded = decode_rows((key, entry) for _, key, entry in rows)
@@ -128,7 +130,7 @@ class TestHashSeedStability:
         " faults=resolve_faults('crash:1'))\n"
         "state.advance(state.candidates[0])\n"
         "key = state.config_key()\n"
-        "rows = encode_rows([(key, TableEntry(bound=(True, 2, 4)))])\n"
+        "rows = encode_rows([(key, TableEntry(deadlock_free=True))])\n"
         "print(config_key_digest(key).hex())\n"
         "print(cell_key(g, proto, 'SIMASYNC', None, 'crash:1'))\n"
         "print(rows[0][0], rows[0][1])\n"
@@ -153,7 +155,7 @@ class TestHashSeedStability:
 
 
 def _make_entry_rows():
-    return [(SAMPLE_KEY, EXACT), ((frozenset({9}),), PARTIAL)]
+    return [(SAMPLE_KEY, EXACT), ((frozenset({9}),), DEADLOCK_FREE)]
 
 
 class TestStoreFrontiers:
@@ -163,13 +165,14 @@ class TestStoreFrontiers:
             loaded = dict(store.load_frontiers("cell-a"))
             assert loaded[SAMPLE_KEY].completions == EXACT.completions
             assert loaded[SAMPLE_KEY].exact
-            assert loaded[(frozenset({9}),)].bound == PARTIAL.bound
+            assert loaded[(frozenset({9}),)].deadlock_free
+            assert not loaded[(frozenset({9}),)].exact
             assert store.load_frontiers("cell-b") == []
             assert store.stats()["frontiers"] == 2
 
     def test_replace_tightens_in_place(self, tmp_path):
         with ResultStore(tmp_path / "s.db") as store:
-            store.put_frontiers("cell-a", [(SAMPLE_KEY, BOUND_ONLY)])
+            store.put_frontiers("cell-a", [(SAMPLE_KEY, DEADLOCK_FREE)])
             store.put_frontiers("cell-a", [(SAMPLE_KEY, EXACT)])
             assert store.frontier_count("cell-a") == 1
             [(_, entry)] = store.load_frontiers("cell-a")
@@ -189,7 +192,7 @@ class TestStoreFrontiers:
         path = tmp_path / "s.db"
         with ResultStore(path, salt="v1") as store:
             store.put_frontiers("live-cell", _make_entry_rows())
-            store.put_frontiers("orphan-cell", [(SAMPLE_KEY, BOUND_ONLY)])
+            store.put_frontiers("orphan-cell", [(SAMPLE_KEY, DEADLOCK_FREE)])
         with ResultStore(path, salt="v2") as store:
             store.put_frontiers("live-cell", [(SAMPLE_KEY, EXACT)])
             removed = store.gc_frontiers(["live-cell"])

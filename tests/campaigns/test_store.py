@@ -276,7 +276,7 @@ class TestMeta:
         from repro.telemetry import KernelStats
 
         kernel = KernelStats(steps=10, searches=2, restarts=1,
-                             bound_prunes=3)
+                             table_hits=3)
         with ResultStore(tmp_path / "m.db") as store:
             assert store.kernel_summary("camp") is None
             store.record_kernel_summary("camp", kernel)

@@ -8,6 +8,11 @@ from repro.core.schedulers import default_portfolio
 from repro.graphs import generators as gen
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: larger sweeps that dominate the suite's runtime")
+
+
 @pytest.fixture
 def portfolio():
     """The standard adversary portfolio with a couple of random seeds."""

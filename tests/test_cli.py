@@ -6,7 +6,8 @@ from repro.cli import build_parser, main
 
 #: The ``kernel:default`` meta row that a stress campaign over
 #: ``build-degenerate`` x ``degenerate2`` (n=6, seed 0, threshold 4)
-#: stored while the beam still had its batched core.
+#: stored while the beam still had its batched core and branch-and-bound
+#: still counted bound prunes.
 OLD_KERNEL_ROW = (
     '{"batch_children": 232, "batch_kept": 92, "bound_prunes": 0, '
     '"frontier_hits": 0, "frontier_stores": 0, "restarts": 5, '
@@ -306,9 +307,10 @@ class TestCampaignCommands:
     def test_status_renders_kernel_row_with_retired_fields(self, tmp_path,
                                                             capsys):
         """A ``kernel:`` meta row written before the batched beam core
-        was removed still carries ``batch_children``/``batch_kept``; it
-        must load (unknown names are dropped) and ``status`` must still
-        render it."""
+        and bound pruning were removed still carries
+        ``batch_children``/``batch_kept``/``bound_prunes``; it must load
+        (unknown names are dropped) and ``status`` must still render
+        it."""
         from repro.campaigns.store import ResultStore
         from repro.telemetry import KernelStats
 

@@ -4,8 +4,8 @@
 Runs the built-in warm-frontier smoke campaign twice against one store:
 
 1. **Cold**: an empty store — every task executes, exporting its
-   transposition frontiers (exact completion frontiers plus admissible
-   bounds) into the store's ``frontiers`` table.
+   transposition frontiers (exact completion frontiers plus deadlock-free
+   facts) into the store's ``frontiers`` table.
 2. **Warm**: results are garbage-collected (``store.gc([])``) but the
    frontiers survive, so the second run re-executes the same tasks with
    preloaded tables.
@@ -21,7 +21,7 @@ The gate then asserts the two invariants the warm path promises:
 Finally it re-opens the store under a deliberately different
 code-version salt and asserts **zero** frontier rows are served: any
 source edit invalidates persisted frontiers wholesale rather than
-risking a stale bound.
+risking a stale frontier.
 
 Usage::
 
