@@ -117,8 +117,9 @@ def test_scale_summary(benchmark, write_report, report_dir):
 #: The exhaustive-enumeration curve: sizes swept, and the size past
 #: which the scalar engine is no longer interactive (the "cliff") —
 #: mirrored by tools/bench_report.py's staleness markers; widen both
-#: together.
-CURVE_SIZES = (5, 6, 7, 8, 9)
+#: together.  The verified cells fold the quotient configuration DAG
+#: (2^n configurations), so the curve runs well past the cliff.
+CURVE_SIZES = (5, 6, 7, 8, 9, 10, 11, 12)
 SCALAR_CLIFF = 7
 
 
@@ -143,7 +144,8 @@ def test_scale_curve(report_dir):
 
     ``verify_seconds`` times one exhaustive stress cell, serial, and
     ``executions`` is that cell's ``report.executions`` — every one of
-    the ``n!`` SIMASYNC schedules checked.  The scalar
+    the ``n!`` SIMASYNC schedules checked, by a fold over the quotient
+    configuration DAG (:mod:`repro.runtime.quotient`).  The scalar
     ``count_executions`` walk (schedule tree sized without decoding or
     checking) is timed up to ``SCALAR_CLIFF`` and must agree with it.
     """

@@ -314,7 +314,7 @@ class ExecutionState:
     def terminal(self) -> bool:
         return self.done or not self.write_candidates
 
-    def config_key(self) -> tuple:
+    def config_key(self, quotient: bool = False) -> tuple:
         """Canonical, always-hashable digest of this configuration.
 
         Covers everything the paper's configuration is made of: the
@@ -335,11 +335,23 @@ class ExecutionState:
         states.  Payload digests are cached per write event, so
         repeated calls along a search path stay cheap.
 
+        ``quotient=True`` digests the board as a payload *multiset*
+        (:meth:`_board_multiset_key`) instead of in board order.  Two
+        states with equal quotient keys have identical futures only
+        when nothing downstream reads the board order: the model is
+        simultaneous and asynchronous (every message is frozen in
+        round 0) and the protocol declares
+        :attr:`~repro.core.protocol.Protocol.output_order_invariant` —
+        the exhaustive quotient-DAG fold
+        (:mod:`repro.runtime.quotient`) keys on it under exactly those
+        conditions.
+
         Raises :class:`ProtocolViolation` if a frozen message is not a
         payload the codec can encode (the same messages would be
         rejected by :meth:`advance` when written).
         """
-        keys = self._board_keys()
+        keys = (self._board_multiset_key() if quotient
+                else tuple(self._board_keys()))
         frozen_part = None
         if self.model.asynchronous:
             frozen_keys = self._frozen_keys
@@ -359,7 +371,7 @@ class ExecutionState:
             part.sort()
             frozen_part = tuple(part)
         base = (
-            tuple(keys),
+            keys,
             frozenset(self.written),
             frozenset(self.active),
             frozen_part,

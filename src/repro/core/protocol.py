@@ -79,7 +79,13 @@ class Protocol(ABC):
     payloads — never on their order — may declare it by setting
     :attr:`output_order_invariant`; exhaustive runs then decode each
     distinct board multiset once per walk (per lot, when a cell is
-    sharded) instead of once per schedule.
+    sharded) instead of once per schedule.  Under SIMASYNC the flag
+    also licenses the quotient-DAG fold (:mod:`repro.runtime.quotient`):
+    an exhaustive cell visits each configuration — written and crashed
+    sets, budgets, board multiset — once instead of each schedule, and
+    checks each terminal configuration once.  A seeded guard replays a
+    few random schedules per fold and raises
+    :class:`~repro.core.errors.ProtocolViolation` when one disagrees.
     The declaration is a contract with three parts:
 
     * ``output(board, n)`` (its value, or the exception it raises) is a

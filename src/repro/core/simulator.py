@@ -32,10 +32,14 @@ module is its classic drivers:
   restored by replay, which is always correct;
 * :func:`all_executions` turns that walk into one :class:`RunResult`
   per schedule — the paper's "for all adversaries" quantifier as a
-  finite check on small graphs.  It is the only enumeration path:
-  exhaustive plan cells run it, and the cell-level lot sharding of
-  :mod:`repro.runtime.sharding` runs the same walker below each schedule
-  prefix of a lot;
+  finite check on small graphs.  Exhaustive plan cells run it (and the
+  cell-level lot sharding of :mod:`repro.runtime.sharding` runs the
+  same walker below each schedule prefix of a lot) unless the cell
+  qualifies for the quotient-DAG fold of :mod:`repro.runtime.quotient`:
+  a SIMASYNC cell of an ``output_order_invariant`` protocol folded only
+  into a report visits each configuration (keyed by
+  ``config_key(quotient=True)``) once instead of each schedule, with
+  reports field-identical to this walk;
 * :func:`count_executions` sizes the schedule tree with the same
   walker, building no results.
 

@@ -49,6 +49,7 @@ from ..faults.spec import FaultSpec, resolve_faults
 from ..graphs.labeled_graph import LabeledGraph
 from ..telemetry import TaskCollection
 from ..telemetry import tracer as _trace
+from . import quotient
 from .results import (
     ListSink,
     ReportMergeSink,
@@ -61,6 +62,13 @@ from .results import (
 __all__ = ["Checker", "ExecutionTask", "ExecutionPlan"]
 
 #: ``checker(graph, output, result) -> bool`` — truthy means correct.
+#: Exhaustive cells folded over the quotient configuration DAG
+#: (:mod:`repro.runtime.quotient`) call it once per terminal
+#: configuration, with the result of the first schedule reaching it, so
+#: a checker must be a function of ``(graph, output)``; every checker in
+#: :mod:`repro.analysis.checkers` is.  The fold's guard raises
+#: :class:`~repro.core.errors.ProtocolViolation` on one that reads the
+#: schedule.
 Checker = Callable[[LabeledGraph, Any, "RunResult"], bool]
 
 _MODES = ("single", "exhaustive", "verify", "stress")
@@ -150,7 +158,10 @@ class ExecutionTask:
         """
         model = self.model
         witness_runs: list[tuple[str, RunResult]] = []
+        reason = quotient.ineligible(self)
         if self.mode == "exhaustive":
+            # A lazy walk: a cell folded over the quotient DAG below
+            # never starts it.
             results: Iterable[RunResult] = all_executions(
                 self.graph, self.protocol, model,
                 bit_budget=self.bit_budget, limit=self.exhaustive_limit,
@@ -206,8 +217,19 @@ class ExecutionTask:
             if self.mode == "exhaustive":
                 report.exhaustive_instances = 1
         kept: Optional[list[RunResult]] = [] if self.keep_runs else None
-        with _trace.span("fold", index=self.index, mode=self.mode):
-            worst, first_deadlock = self._fold_results(results, report, kept)
+        with _trace.span("fold", index=self.index, mode=self.mode) as span:
+            if reason is None:
+                span.set("walk", "dag")
+                dag = quotient.QuotientFold(self)
+                worst, first_deadlock = dag.fold_below((), report)
+                _trace.count("exhaustive.configurations", dag.configurations)
+                _trace.count("exhaustive.edges", dag.edges)
+            else:
+                if self.mode == "exhaustive":
+                    span.set("walk", "tree")
+                    span.set("reason", reason)
+                worst, first_deadlock = self._fold_results(
+                    results, report, kept)
         if report is not None and self.capture_witnesses:
             if self.mode == "exhaustive":
                 if worst is not None:
@@ -239,8 +261,10 @@ class ExecutionTask:
         """The one aggregation loop: fold ``results`` (DFS order) into
         ``report``/``kept`` in place and return ``(worst,
         first_deadlock)``.  Shared by the serial :meth:`execute`, shard
-        workers (:meth:`_shard_partial`) and the shard merge, so every
-        path aggregates identically by construction."""
+        workers (:meth:`_execute_shard`) and the shard merge, so every
+        tree walk aggregates identically by construction; the quotient
+        DAG fold (:mod:`repro.runtime.quotient`) reproduces it field
+        for field."""
         worst: Optional[RunResult] = None
         first_deadlock: Optional[RunResult] = None
         for result in results:
@@ -259,37 +283,51 @@ class ExecutionTask:
             report.record(self.graph, result, self._check(result))
         return worst, first_deadlock
 
-    def _shard_partial(self, results: Iterable[RunResult]):
-        """Aggregate one schedule-prefix group into a picklable partial:
-        ``(report, kept, worst, first_deadlock)``, with the report's
-        instance counters left at zero (the merge's header supplies
-        them once)."""
-        report: Optional[VerificationReport] = None
-        if self.checker is not None:
-            report = VerificationReport(self.protocol.name, self.model_name)
-        kept: Optional[list[RunResult]] = [] if self.keep_runs else None
-        worst, first_deadlock = self._fold_results(results, report, kept)
-        return (report, tuple(kept) if kept is not None else None,
-                worst, first_deadlock)
-
     def _execute_shard(self, prefixes):
-        """Worker side of a sharded exhaustive cell: walk one scalar
-        state (one output memo for the whole lot) to every terminal
-        below each schedule prefix, folding each leaf as it streams,
-        and return each prefix's partial aggregate keyed for the parent
-        merge.  Exceptions propagate raw."""
-        state = ExecutionState.initial(
-            self.graph, self.protocol, self.model, self.bit_budget,
-            faults=self.faults).memoize_outputs()
-        root = state.snapshot()
+        """Worker side of a sharded exhaustive cell: fold every leaf
+        below each schedule prefix of the lot and return each prefix's
+        partial aggregate, keyed for the parent merge.  Exceptions
+        propagate raw.
+
+        A partial is ``(report, kept, worst, first_deadlock, dag)``,
+        with the report's instance counters left at zero (the merge's
+        header supplies them once).  A cell that qualifies for the
+        quotient DAG folds each prefix over one memo shared by the lot,
+        and ``dag`` is the ``(configurations, edges)`` that prefix
+        added; otherwise one scalar state (one output memo for the lot)
+        walks the tree below each prefix, folding each leaf as it
+        streams, and ``dag`` is ``None``.
+        """
+        dag = (quotient.QuotientFold(self)
+               if quotient.ineligible(self) is None else None)
+        if dag is None:
+            state = ExecutionState.initial(
+                self.graph, self.protocol, self.model, self.bit_budget,
+                faults=self.faults).memoize_outputs()
+            root = state.snapshot()
         partials = {}
         for prefix in prefixes:
-            if state.depth != root.depth:
-                state.restore(root)
-            for choice in prefix:
-                state.advance(choice)
-            partials[prefix] = self._shard_partial(
-                leaf.result() for leaf in terminal_states(state))
+            report: Optional[VerificationReport] = None
+            if self.checker is not None:
+                report = VerificationReport(self.protocol.name,
+                                            self.model_name)
+            kept: Optional[list[RunResult]] = [] if self.keep_runs else None
+            if dag is not None:
+                before = (dag.configurations, dag.edges)
+                worst, first_deadlock = dag.fold_below(prefix, report)
+                work = (dag.configurations - before[0], dag.edges - before[1])
+            else:
+                if state.depth != root.depth:
+                    state.restore(root)
+                for choice in prefix:
+                    state.advance(choice)
+                worst, first_deadlock = self._fold_results(
+                    (leaf.result() for leaf in terminal_states(state)),
+                    report, kept)
+                work = None
+            partials[prefix] = (report,
+                                tuple(kept) if kept is not None else None,
+                                worst, first_deadlock, work)
         return partials
 
     def _merge_shards(self, units, partials: dict) -> TaskOutcome:
@@ -306,23 +344,30 @@ class ExecutionTask:
         kept: Optional[list[RunResult]] = [] if self.keep_runs else None
         worst: Optional[RunResult] = None
         first_deadlock: Optional[RunResult] = None
+        configurations = edges = 0
         for kind, payload in units:
             if kind == "result":
                 unit_worst, unit_deadlock = self._fold_results(
                     [payload], report, kept)
             else:
-                part_report, part_kept, unit_worst, unit_deadlock = (
+                part_report, part_kept, unit_worst, unit_deadlock, work = (
                     partials[payload])
                 if report is not None:
                     report.merge(part_report)
                 if kept is not None:
                     kept.extend(part_kept)
+                if work is not None:
+                    configurations += work[0]
+                    edges += work[1]
             if unit_worst is not None and (
                     worst is None
                     or unit_worst.max_message_bits > worst.max_message_bits):
                 worst = unit_worst
             if first_deadlock is None and unit_deadlock is not None:
                 first_deadlock = unit_deadlock
+        if configurations:
+            _trace.count("exhaustive.configurations", configurations)
+            _trace.count("exhaustive.edges", edges)
         if report is not None and self.capture_witnesses:
             if worst is not None:
                 self._record_witness(report, "exhaustive", worst)

@@ -2,8 +2,9 @@
 
 Backs both ``repro telemetry report`` and ``tools/trace_report.py``:
 per-cell timing tables, deterministic kernel counters, top-k hotspot
-spans, shard-imbalance flags and store latency summaries — everything a
-"why was this run slow" triage needs, from one file, offline.
+spans, shard-imbalance flags, exhaustive-fold walks and store latency
+summaries — everything a "why was this run slow" triage needs, from
+one file, offline.
 """
 
 from __future__ import annotations
@@ -167,6 +168,33 @@ def _shard_lines(trace: TraceData) -> list:
     return lines
 
 
+def _fold_lines(trace: TraceData) -> list:
+    """How exhaustive cells were folded: per-walk cell counts (a tree
+    walk names the first quotient-DAG condition the cell failed) and
+    the DAG's configuration and edge counters, sharded lots included."""
+    walks: dict = {}
+    for record in trace.tasks:
+        for span in (record.get("telemetry") or {}).get("spans", ()):
+            attrs = span.get("attrs", {})
+            if span.get("name") != "fold" or "walk" not in attrs:
+                continue
+            label = attrs["walk"]
+            if label != "dag":
+                label = f"{label} ({attrs.get('reason', '?')})"
+            walks[label] = walks.get(label, 0) + 1
+    lines = []
+    if walks:
+        lines.append("  walks: " + ", ".join(
+            f"{count} {label}" for label, count in sorted(walks.items())))
+    metrics = trace.manifest.get("metrics", {})
+    configurations = metrics.get("exhaustive.configurations", {}).get("value")
+    if configurations is not None:
+        edges = metrics.get("exhaustive.edges", {}).get("value", 0)
+        lines.append(f"  quotient DAG: {configurations} configurations, "
+                     f"{edges} edges")
+    return lines
+
+
 def _store_lines(manifest: dict) -> list:
     metrics = manifest.get("metrics", {})
     lines = []
@@ -232,6 +260,16 @@ def render_report(trace: TraceData, top: int = 10) -> str:
                 rows,
             )
         )
+    shard = _shard_lines(trace)
+    if shard:
+        out.append("")
+        out.append("sharding:")
+        out.extend(shard)
+    folds = _fold_lines(trace)
+    if folds:
+        out.append("")
+        out.append("exhaustive folds:")
+        out.extend(folds)
     hotspots = _hotspots(trace, top)
     if hotspots:
         out.append("")
@@ -241,11 +279,6 @@ def render_report(trace: TraceData, top: int = 10) -> str:
                 ["span", "count", "total", "mean"], hotspots,
             )
         )
-    shard = _shard_lines(trace)
-    if shard:
-        out.append("")
-        out.append("sharding:")
-        out.extend(shard)
     store = _store_lines(manifest)
     if store:
         out.append("")

@@ -63,3 +63,29 @@ class TestRender:
         text = render_report(trace)
         assert "kernel:" in text
         assert "steps" in text
+
+
+class TestExhaustiveFolds:
+    def test_section_names_walks_and_dag_counters(self, tmp_path):
+        """The n=5 stress cell folds over the quotient DAG, its
+        kept-runs twin walks the tree, and the section says so."""
+        from dataclasses import replace
+
+        path = tmp_path / "folds.jsonl"
+        proto = DegenerateBuildProtocol(2)
+        plan = ExecutionPlan.build(
+            proto, [MODELS_BY_NAME["SIMASYNC"]],
+            [gen.random_k_degenerate(5, 2, seed=0)], mode="stress",
+            checker=default_checker(proto), exhaustive_threshold=5)
+        [task] = plan.tasks
+        with RunTelemetry(path, command="stress") as session:
+            with session.activate():
+                session.add_plan(plan)
+                sink = session.sink(ReportMergeSink(
+                    plan.protocol_names[0], plan.model_names[0]))
+                sink.add(task.execute())
+                sink.add(replace(task, keep_runs=True).execute())
+        text = render_report(load_trace(path))
+        section = text.split("exhaustive folds:")[1]
+        assert "walks: 1 dag, 1 tree (keep-runs)" in section
+        assert "quotient DAG: 32 configurations, 80 edges" in section

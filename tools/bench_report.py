@@ -71,7 +71,8 @@ def _scale_curve_markers() -> list[str]:
     a package); widen both together when the curve grows.  Every size
     is a marker, and ``verify_seconds`` proves the curve times verdicts.
     """
-    return [f'"n": {n}' for n in (5, 6, 7, 8, 9)] + ['"verify_seconds"']
+    return ([f'"n": {n}' for n in (5, 6, 7, 8, 9, 10, 11, 12)]
+            + ['"verify_seconds"'])
 
 
 #: Committed report sections and the markers that prove freshness.  A
