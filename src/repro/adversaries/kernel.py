@@ -12,8 +12,9 @@ the strategies are thin *policies* — what to expand next — over shared
   cumulative :class:`SearchStats`, an optional cell-wide step budget on
   top of each strategy's own, and the seeded-RNG factory every
   restart/tiebreak stream comes from.  A stress cell builds one context
-  and threads it through every strategy it runs, which is what makes
-  pruning knowledge transfer between them.
+  and threads it through every strategy it runs.  Only a cell that
+  serves warm frontiers gives that context a table: its strategies then
+  share pruning knowledge with each other and with earlier runs.
 * :class:`BudgetMeter` meters ``advance`` calls: ``spend`` enforces the
   strategy budget and the context budget, ``charge`` counts without
   enforcing (the forced-completion paths, which must be allowed to
@@ -94,8 +95,9 @@ class SearchContext:
     Parameters
     ----------
     table:
-        Optional shared :class:`TranspositionTable`.  ``None`` keeps
-        every strategy's pruning private exactly as before.
+        Optional shared :class:`TranspositionTable` (a stress cell
+        attaches one exactly when it serves warm frontiers).  ``None``
+        keeps every strategy's pruning private.
     max_steps:
         Optional cell-wide cap on *total* write events across all
         searches run through this context, on top of each strategy's

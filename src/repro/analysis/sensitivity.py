@@ -112,12 +112,12 @@ def analyze(
     model: ModelSpec,
     schedulers: Optional[Sequence[Scheduler]] = None,
     exhaustive_threshold: int = 5,
-    exhaustive_limit: Optional[int] = 2000,
+    limit: Optional[int] = 2000,
 ) -> SensitivityReport:
     """Measure schedule sensitivity of ``protocol`` on one input."""
     if graph.n <= exhaustive_threshold:
         runs = list(
-            all_executions(graph, protocol, model, limit=exhaustive_limit)
+            all_executions(graph, protocol, model, limit=limit)
         )
         exhaustive = True
     else:

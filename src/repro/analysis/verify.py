@@ -58,7 +58,6 @@ def verify_protocol(
     checker: Checker,
     schedulers: Optional[Sequence[Scheduler]] = None,
     exhaustive_threshold: int = 5,
-    exhaustive_limit: Optional[int] = None,
     bit_budget: Optional[Callable[[int], int]] = None,
     allow_deadlock: bool = False,
     backend: Optional[Backend] = None,
@@ -66,7 +65,6 @@ def verify_protocol(
     adversaries: Optional[Sequence[AdversarySearch]] = None,
     store=None,
     score: Optional[str] = None,
-    share_table: bool = False,
     faults: Optional[str] = None,
 ) -> VerificationReport:
     """Sweep ``protocol`` under ``model`` over ``instances``.
@@ -97,10 +95,6 @@ def verify_protocol(
         Stress mode only: name of a
         :data:`repro.adversaries.SCORE_HOOKS` badness hook baked into
         the default portfolio's greedy/beam policies.
-    share_table:
-        Stress mode only: run each search cell's strategies through one
-        shared :class:`~repro.adversaries.SearchContext`, so they reuse
-        one transposition table of completion values.
     faults:
         Optional fault-budget spec (``"crash:2,loss:1"``); stress mode
         only — exhaustive cells then enumerate the joint fault ×
@@ -126,11 +120,9 @@ def verify_protocol(
         adversaries=adversaries,
         checker=checker,
         exhaustive_threshold=exhaustive_threshold,
-        exhaustive_limit=exhaustive_limit,
         bit_budget=bit_budget,
         allow_deadlock=allow_deadlock,
         score=score,
-        share_table=share_table,
         faults=faults,
     )
     if store is not None:

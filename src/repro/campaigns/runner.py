@@ -117,7 +117,6 @@ class CampaignCell:
 
     def build_plan(self, mode: str, exhaustive_threshold: int,
                    score: Optional[str] = None,
-                   share_table: bool = False,
                    faults: Optional[str] = None) -> ExecutionPlan:
         entry = CENSUS_BY_KEY[self.protocol_key]
         return ExecutionPlan.build(
@@ -130,7 +129,6 @@ class CampaignCell:
             allow_deadlock=self.allow_deadlock,
             keep_runs=False,
             score=score if mode == "stress" else None,
-            share_table=share_table if mode == "stress" else False,
             faults=faults,
         )
 
@@ -139,10 +137,9 @@ class CampaignCell:
 class CampaignSpec:
     """The durable identity of a campaign: name + cells + policy.
 
-    ``score`` and ``share_table`` are the search-kernel knobs
-    (primitive, so they participate in every search cell's fingerprint):
-    a campaign run with a different badness hook, or with transposition
-    sharing toggled, is different durable work.
+    ``score`` is the search-kernel knob (primitive, so it participates
+    in every search cell's fingerprint): a campaign run with a
+    different badness hook is different durable work.
     """
 
     name: str
@@ -150,7 +147,6 @@ class CampaignSpec:
     mode: str = "stress"
     exhaustive_threshold: int = 5
     score: Optional[str] = None
-    share_table: bool = False
     #: Spec-level default fault budget; cells override with their own
     #: ``faults`` (``None`` on a cell means "inherit this").
     faults: Optional[str] = None
@@ -162,10 +158,10 @@ class CampaignSpec:
             )
         if not self.cells:
             raise ValueError("a campaign needs at least one cell")
-        if (self.score is not None or self.share_table) and self.mode != "stress":
+        if self.score is not None and self.mode != "stress":
             raise ValueError(
-                "score/share_table are search-kernel knobs; they only "
-                "apply to stress campaigns"
+                "score is a search-kernel knob; it only applies to "
+                "stress campaigns"
             )
         if self.faults is not None:
             object.__setattr__(
@@ -188,7 +184,7 @@ class CampaignSpec:
         for cell in self.cells:
             yield cell, cell.build_plan(
                 self.mode, self.exhaustive_threshold,
-                score=self.score, share_table=self.share_table,
+                score=self.score,
                 faults=self.cell_faults(cell),
             )
 

@@ -238,15 +238,13 @@ def task_fingerprint(task: Any, salt: Optional[str] = None) -> str:
         "adversaries": [_component_key(a) for a in task.adversaries],
         "checker": _component_key(task.checker),
         "bit_budget": task.bit_budget,
-        "exhaustive_limit": task.exhaustive_limit,
         "allow_deadlock": task.allow_deadlock,
         "keep_runs": task.keep_runs,
         "capture_witnesses": task.capture_witnesses,
         "minimize_witnesses": getattr(task, "minimize_witnesses", True),
-        # Search-kernel knobs (None/False on non-search cells, so the
-        # fingerprints of exhaustive cells do not churn with them).
+        # The search-kernel knob (None on non-search cells, so the
+        # fingerprints of exhaustive cells do not churn with it).
         "score": getattr(task, "score", None),
-        "share_table": getattr(task, "share_table", False),
         # Canonical fault-budget string (None on reliable cells, so
         # pre-fault fingerprints are unchanged modulo the salt).
         "faults": getattr(task, "faults", None),

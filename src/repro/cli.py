@@ -14,9 +14,8 @@
   ``--store PATH`` serves unchanged cells from a SQLite result store
 * ``stress``  — adversarial stress: exhaustive schedules at small n,
   guided adversary search above, reporting worst witness schedules
-  (raw and minimised); ``--share-table`` shares one transposition
-  table across each cell's strategies, ``--score`` swaps the badness
-  hook, ``--faults crash:2,loss:1`` lets the adversary interleave
+  (raw and minimised); ``--score`` swaps the badness hook,
+  ``--faults crash:2,loss:1`` lets the adversary interleave
   crash-stop/lossy/duplicated-write events with the schedule,
   ``--store PATH`` serves unchanged cells from a result store
 * ``campaign`` — persistent, resumable stress campaigns over a SQLite
@@ -206,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--score", default=None, choices=sorted(SCORE_HOOKS),
                     help="badness hook for the greedy/beam searches "
                          "(default: bits-greedy)")
-    st.add_argument("--share-table", action="store_true",
-                    help="share one transposition table across the "
-                         "strategies of each search cell")
     st.add_argument("--faults", default=None, metavar="SPEC",
                     help="adversary fault budget, e.g. 'crash:2,loss:1' "
                          "(kinds: crash, loss, dup); fault events join "
@@ -251,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(the Corollary 4 off-promise setting)")
         p.add_argument("--score", default=None, choices=sorted(SCORE_HOOKS),
                        help="badness hook for the stress searches "
-                            "(participates in task fingerprints)")
-        p.add_argument("--share-table", action="store_true",
-                       help="share one transposition table per search cell "
                             "(participates in task fingerprints)")
         p.add_argument("--faults", default=None, metavar="SPEC",
                        help="adversary fault budget for every cell, e.g. "
@@ -639,7 +632,6 @@ def _stress_protocols(args, backend, instances, store,
             checker=_sweep_checker(key),
             exhaustive_threshold=args.threshold,
             score=args.score,
-            share_table=args.share_table,
             faults=args.faults,
         )
         report, cached = _run_plan(plan, backend, store,
@@ -723,7 +715,6 @@ def _campaign_spec(args):
             mode=args.mode,
             exhaustive_threshold=args.threshold,
             score=args.score,
-            share_table=args.share_table,
             faults=args.faults,
         )
         for campaign_cell in spec.cells:

@@ -95,7 +95,6 @@ class ExecutionTask:
     adversaries: tuple[AdversarySearch, ...] = ()
     checker: Optional[Checker] = None
     bit_budget: Optional[int] = None
-    exhaustive_limit: Optional[int] = None
     allow_deadlock: bool = False
     keep_runs: bool = True
     capture_witnesses: bool = False
@@ -103,15 +102,11 @@ class ExecutionTask:
     #: ddmin pass costs O(len²) schedule replays per witness, so plans
     #: sweeping very large instances may turn it off.
     minimize_witnesses: bool = True
-    #: Search-kernel knobs, lowered from the plan build and carried as
-    #: primitive attrs so campaign fingerprints see them.  ``score`` is
-    #: the :data:`repro.adversaries.SCORE_HOOKS` name baked into the
-    #: cell's strategies (``None`` = default bits-greedy);
-    #: ``share_table`` makes the cell run its strategies through one
-    #: shared :class:`~repro.adversaries.SearchContext`, so they reuse
-    #: one transposition table.
+    #: The search-kernel knob, lowered from the plan build and carried
+    #: as a primitive attr so campaign fingerprints see it: the
+    #: :data:`repro.adversaries.SCORE_HOOKS` name baked into the cell's
+    #: strategies (``None`` = default bits-greedy).
     score: Optional[str] = None
-    share_table: bool = False
     #: Canonical fault-budget spec string (``"crash:1,loss:2"``) or
     #: ``None`` for the reliable semantics.  Primitive on purpose: it is
     #: fingerprinted into campaign stores like every other knob, and
@@ -120,12 +115,13 @@ class ExecutionTask:
     #: Warm transposition frontiers: ``(config_key, TableEntry)`` pairs
     #: preloaded into the cell's table before any search runs, served by
     #: a persistent frontier store (see :mod:`repro.campaigns.frontiers`).
-    #: ``None`` disables the frontier path entirely; a (possibly empty)
-    #: tuple enables it — the cell attaches a table, preloads the seeds,
-    #: and exports its dirty rows on the outcome.  The knob is
-    #: report-invariant (warm entries never change a witness, only the
-    #: work done to find it), so ``task_fingerprint`` deliberately
-    #: excludes it.
+    #: ``None`` disables the frontier path entirely, and the cell's
+    #: strategies search without a transposition table; a (possibly
+    #: empty) tuple enables it — the cell attaches one table shared by
+    #: its strategies, preloads the seeds, and exports its dirty rows on
+    #: the outcome.  The knob is report-invariant (warm entries never
+    #: change a witness, only the work done to find it), so
+    #: ``task_fingerprint`` deliberately excludes it.
     frontiers: Optional[tuple] = None
 
     @property
@@ -164,21 +160,18 @@ class ExecutionTask:
             # never starts it.
             results: Iterable[RunResult] = all_executions(
                 self.graph, self.protocol, model,
-                bit_budget=self.bit_budget, limit=self.exhaustive_limit,
-                faults=self.faults,
+                bit_budget=self.bit_budget, faults=self.faults,
             )
         elif self.mode == "search":
             # Always hand the strategies one shared SearchContext so its
             # cumulative SearchStats can be snapshotted.  Equivalent to
             # the ensure(None) each strategy would otherwise do: the
-            # table is None unless shared, max_steps is None, and
-            # nothing reads the stats back into the search.
-            table = (
-                TranspositionTable()
-                if self.share_table or self.frontiers is not None
-                else None
-            )
-            if table is not None and self.frontiers:
+            # table is None unless the cell serves warm frontiers,
+            # max_steps is None, and nothing reads the stats back into
+            # the search.
+            table = None
+            if self.frontiers is not None:
+                table = TranspositionTable()
                 table.preload(self.frontiers)
             context = SearchContext(table=table)
             collect.observe_context(context)
@@ -456,13 +449,11 @@ class ExecutionPlan:
         adversaries: Optional[Sequence[AdversarySearch]] = None,
         checker: Optional[Checker] = None,
         exhaustive_threshold: int = 5,
-        exhaustive_limit: Optional[int] = None,
         bit_budget: Union[None, int, Callable[[int], int]] = None,
         allow_deadlock: bool = False,
         keep_runs: Optional[bool] = None,
         minimize_witnesses: bool = True,
         score: Optional[str] = None,
-        share_table: bool = False,
         faults: Union[None, str, FaultSpec] = None,
     ) -> "ExecutionPlan":
         """Enumerate the (protocol × model × instance) product into tasks.
@@ -472,10 +463,7 @@ class ExecutionPlan:
         same arguments is identical task for task.  ``adversaries``
         (stress mode only) defaults to
         :func:`repro.adversaries.default_search_portfolio`, built with
-        the ``score`` hook when one is named; ``share_table`` runs each
-        search cell's strategies through one shared
-        :class:`~repro.adversaries.SearchContext` (one transposition
-        table per cell).
+        the ``score`` hook when one is named.
         """
         if mode not in _MODES:
             raise ValueError(f"unknown plan mode {mode!r}; expected one of {_MODES}")
@@ -483,10 +471,10 @@ class ExecutionPlan:
             raise ValueError(
                 f"adversaries are only used by stress plans; mode is {mode!r}"
             )
-        if (score is not None or share_table) and mode != "stress":
+        if score is not None and mode != "stress":
             raise ValueError(
-                "score/share_table are search-kernel knobs; they only "
-                f"apply to stress plans, and mode is {mode!r}"
+                "score is a search-kernel knob; it only applies to "
+                f"stress plans, and mode is {mode!r}"
             )
         if score is not None and adversaries is not None:
             raise ValueError(
@@ -545,14 +533,11 @@ class ExecutionPlan:
                         adversaries=searches if task_mode == "search" else (),
                         checker=checker,
                         bit_budget=budget,
-                        exhaustive_limit=exhaustive_limit,
                         allow_deadlock=allow_deadlock,
                         keep_runs=keep_runs,
                         capture_witnesses=mode == "stress",
                         minimize_witnesses=minimize_witnesses,
                         score=score if task_mode == "search" else None,
-                        share_table=(share_table
-                                     if task_mode == "search" else False),
                         faults=fault_spec,
                     ))
         return cls(

@@ -68,8 +68,6 @@ def ineligible(task) -> Optional[str]:
     """
     if task.mode != "exhaustive":
         return "mode"
-    if task.exhaustive_limit is not None:
-        return "limit"
     if task.keep_runs:
         return "keep-runs"
     if task.checker is None:

@@ -48,13 +48,10 @@ SHARD_MIN_N = 6
 def shardable(task) -> bool:
     """Whether a task's cell can be split into schedule-prefix lots.
 
-    Only full exhaustive enumerations qualify: ``exhaustive_limit``
-    truncates mid-stream (a global count no lot can see), and search /
-    scheduler cells carry their parallelism inside the strategies.
+    Only exhaustive enumerations qualify: search / scheduler cells
+    carry their parallelism inside the strategies.
     """
-    return (task.mode == "exhaustive"
-            and task.exhaustive_limit is None
-            and task.graph.n >= SHARD_MIN_N)
+    return task.mode == "exhaustive" and task.graph.n >= SHARD_MIN_N
 
 
 def expand_enumeration_units(

@@ -1,10 +1,9 @@
 """Render a human-readable report from a JSONL trace.
 
-Backs both ``repro telemetry report`` and ``tools/trace_report.py``:
-per-cell timing tables, deterministic kernel counters, top-k hotspot
-spans, shard-imbalance flags, exhaustive-fold walks and store latency
-summaries — everything a "why was this run slow" triage needs, from
-one file, offline.
+Backs ``repro telemetry report``: per-cell timing tables,
+deterministic kernel counters, top-k hotspot spans, shard-imbalance
+flags, exhaustive-fold walks and store latency summaries — everything
+a "why was this run slow" triage needs, from one file, offline.
 """
 
 from __future__ import annotations

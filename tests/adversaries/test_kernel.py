@@ -14,6 +14,8 @@ Acceptance contract of the unified-search-kernel PR:
   payloads memoise instead of silently disabling the memo.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.adversaries import (
@@ -101,6 +103,15 @@ def _strategy_params():
 
 def _shared_context():
     return SearchContext(table=TranspositionTable())
+
+
+def _with_table(plan):
+    """``plan`` with every search cell serving (empty) warm frontiers,
+    which is what attaches one transposition table per search cell."""
+    return replace(plan, tasks=tuple(
+        replace(task, frontiers=()) if task.mode == "search" else task
+        for task in plan.tasks
+    ))
 
 
 class TestConfigKey:
@@ -509,12 +520,15 @@ class TestDictPayloadMemo:
             DictWaitForNeighbor(), SYNC, [self.BROKEN, g],
             mode="stress", checker=lambda graph, out, res: True,
             exhaustive_threshold=4, allow_deadlock=True,
-            share_table=True,
         )
         report = plan.verification_report()
         assert report.witnesses
         assert any(w.deadlock for w in report.witnesses
                    if w.graph.n == self.BROKEN.n)
+        # A table-backed cell reports the same witnesses.
+        on = _with_table(plan).verification_report()
+        assert on.witnesses == report.witnesses
+        assert on.failures == report.failures
 
 
 class TestScoreHooks:
@@ -608,34 +622,42 @@ class TestContextBudget:
 
 
 class TestKernelPlanIntegration:
-    def test_stress_cells_share_table_field_identical_reports(self):
+    @staticmethod
+    def _eob_plan():
         from repro.analysis.checkers import default_checker
         from repro.core.models import MODELS_BY_NAME
         from repro.runtime.plan import ExecutionPlan
 
-        instances = [gen.random_even_odd_bipartite(6, 0.5, seed=1)]
+        return ExecutionPlan.build(
+            EobBfsProtocol(),
+            MODELS_BY_NAME["ASYNC"],
+            [gen.random_even_odd_bipartite(6, 0.5, seed=1)],
+            mode="stress",
+            checker=default_checker("eob-bfs"),
+            exhaustive_threshold=4,
+        )
 
-        def build(share_table):
-            return ExecutionPlan.build(
-                EobBfsProtocol(),
-                MODELS_BY_NAME["ASYNC"],
-                instances,
-                mode="stress",
-                checker=default_checker("eob-bfs"),
-                exhaustive_threshold=4,
-                share_table=share_table,
-            )
-
-        off = build(False).verification_report()
-        on = build(True).verification_report()
+    def test_table_backed_cells_field_identical_reports(self):
+        plan = self._eob_plan()
+        off = plan.verification_report()
+        on = _with_table(plan).verification_report()
         assert on.witnesses == off.witnesses
         assert on.max_bits_by_n == off.max_bits_by_n
         assert on.failures == off.failures
 
+    def test_cell_holds_a_table_iff_it_serves_frontiers(self):
+        (task,) = self._eob_plan().tasks
+        assert task.mode == "search" and task.frontiers is None
+        cold = task.execute().kernel_stats
+        assert cold.searches > 0
+        assert cold.tables == 0 and cold.table_probes == 0
+        warm = replace(task, frontiers=()).execute().kernel_stats
+        assert warm.tables == 1 and warm.table_probes > 0
+
     def test_score_knob_requires_stress_mode(self):
         from repro.runtime.plan import ExecutionPlan
 
-        with pytest.raises(ValueError, match="search-kernel knobs"):
+        with pytest.raises(ValueError, match="search-kernel knob"):
             ExecutionPlan.build(
                 EobBfsProtocol(), ASYNC, [gen.path_graph(4)],
                 mode="verify", checker=lambda g, o, r: True,
@@ -674,8 +696,7 @@ class TestKernelPlanIntegration:
 
         base = task_fingerprint(search_task(), "s")
         scored = task_fingerprint(search_task(score="deadlock-first"), "s")
-        shared = task_fingerprint(search_task(share_table=True), "s")
-        assert len({base, scored, shared}) == 3
+        assert base != scored
 
     def test_simasync_collapse_unaffected_by_table(self):
         g = gen.random_k_degenerate(5, 2, seed=3)

@@ -114,9 +114,8 @@ class TestCampaignRun:
         assert "bfs-bipartite-async" in keys  # the Corollary 4 cell
 
     def test_kernel_knobs_are_durable_identity(self, tmp_path):
-        """score/share_table participate in the campaign's fingerprints:
-        toggling them is different durable work for search cells, while
-        share_table alone keeps reports field-identical."""
+        """score participates in the campaign's fingerprints: another
+        badness hook is different durable work for search cells."""
         from dataclasses import replace
 
         base = CampaignSpec(
@@ -129,14 +128,13 @@ class TestCampaignRun:
             plain = Campaign(base).run(store)
             scored = Campaign(replace(base, score="deadlock-first")).run(store)
             assert scored.hits == 0  # different fingerprint, not served
-            shared = Campaign(replace(base, share_table=True)).run(store)
-            assert shared.hits == 0
-            assert shared.report.witnesses == plain.report.witnesses
-            again = Campaign(replace(base, share_table=True)).run(store)
-            assert again.hits == again.tasks  # knobs round-trip
+            again = Campaign(replace(base, score="deadlock-first")).run(store)
+            assert again.hits == again.tasks  # the knob round-trips
+            assert again.report.witnesses == scored.report.witnesses
+            assert Campaign(base).run(store).hits == plain.tasks
 
     def test_kernel_knobs_require_stress_mode(self):
-        with pytest.raises(ValueError, match="search-kernel knobs"):
+        with pytest.raises(ValueError, match="search-kernel knob"):
             CampaignSpec(
                 name="x",
                 cells=(CampaignCell("eob-bfs", "even-odd-bipartite", (6,), (1,)),),

@@ -9,6 +9,8 @@ guarantee: ``faults=None`` plans and reports are field-identical to
 plans that never heard of faults.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.adversaries import (
@@ -124,7 +126,7 @@ class TestWitnessReplay:
         assert replayed.corrupted == witness.deadlock
 
 
-def stress_report(faults, share_table=False, threshold=2, **kwargs):
+def stress_report(faults, table=False, threshold=2, **kwargs):
     g = eob_instance(5)
     plan = ExecutionPlan.build(
         EobBfsProtocol(), ASYNC, [g],
@@ -133,10 +135,16 @@ def stress_report(faults, share_table=False, threshold=2, **kwargs):
         exhaustive_threshold=threshold,
         allow_deadlock=True,
         keep_runs=False,
-        share_table=share_table,
         faults=faults,
         **kwargs,
     )
+    if table:
+        # Empty warm frontiers attach one transposition table per
+        # search cell.
+        plan = replace(plan, tasks=tuple(
+            replace(task, frontiers=()) if task.mode == "search" else task
+            for task in plan.tasks
+        ))
     return plan, plan.verification_report()
 
 
@@ -157,10 +165,10 @@ class TestFaultFreeIdentity:
         assert report_fields(report_a) == report_fields(report_b)
 
     def test_table_on_off_identity_under_faults(self):
-        # threshold=2 forces a search cell; sharing the transposition
-        # table must not change a single report field.
-        _, off = stress_report("crash:1", share_table=False)
-        _, on = stress_report("crash:1", share_table=True)
+        # threshold=2 forces a search cell; a transposition table must
+        # not change a single report field.
+        _, off = stress_report("crash:1", table=False)
+        _, on = stress_report("crash:1", table=True)
         assert report_fields(off) == report_fields(on)
 
     def test_witness_records_carry_the_fault_budget(self):

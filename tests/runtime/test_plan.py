@@ -45,10 +45,8 @@ class TestBuild:
         plan = ExecutionPlan.build(
             DegenerateBuildProtocol(1), SIMASYNC,
             [gen.path_graph(9)], mode="exhaustive", checker=AcceptAny(),
-            exhaustive_limit=10,
         )
         assert plan.tasks[0].mode == "exhaustive"
-        assert plan.tasks[0].exhaustive_limit == 10
 
     def test_bit_budget_resolved_per_graph(self):
         plan = ExecutionPlan.build(

@@ -174,7 +174,6 @@ def test_ineligible_names_the_first_failed_condition():
     assert quotient.ineligible(task) is None
     cases = {
         "mode": {"mode": "search"},
-        "limit": {"exhaustive_limit": 10},
         "keep-runs": {"keep_runs": True},
         "no-checker": {"checker": None},
         "model": {"model_name": "SIMSYNC"},

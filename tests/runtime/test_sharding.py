@@ -72,13 +72,6 @@ class TestLower:
         items, layout = sharding.lower(list(plan.tasks), 2)
         assert [entry[0] for entry in layout] == ["task"]
 
-    def test_exhaustive_limit_disqualifies(self):
-        plan = _stress_plan(sizes=(6,))
-        from dataclasses import replace
-
-        task = replace(plan.tasks[0], exhaustive_limit=10)
-        assert not sharding.shardable(task)
-
 
 class TestMergeIdentity:
     @pytest.mark.parametrize("faults", [None, "crash:1"])

@@ -57,10 +57,23 @@ class TestParser:
         assert args.protocols == ["build-degenerate"]
         assert args.sizes == [4, 9] and args.threshold == 4
         assert args.jobs == 2 and args.trace
-        assert args.score is None and not args.share_table
+        assert args.score is None
         assert args.store is None
         with pytest.raises(SystemExit):
             p.parse_args(["stress"])  # protocol is required
+
+    def test_removed_table_flag_is_rejected(self):
+        # A search cell holds a transposition table exactly when it
+        # serves warm frontiers; no flag chooses the table path.
+        p = build_parser()
+        for argv in (["stress", "--protocol", "eob-bfs"],
+                     ["campaign", "run", "--store", "s.db",
+                      "--protocol", "eob-bfs"],
+                     ["campaign", "gc", "--store", "s.db",
+                      "--protocol", "eob-bfs"]):
+            p.parse_args(argv)
+            with pytest.raises(SystemExit):
+                p.parse_args(argv + ["--share-table"])
 
     def test_stress_score_choices_come_from_registry(self):
         from repro.adversaries import SCORE_HOOKS
@@ -68,8 +81,8 @@ class TestParser:
         p = build_parser()
         for name in SCORE_HOOKS:
             args = p.parse_args(["stress", "--protocol", "eob-bfs",
-                                 "--score", name, "--share-table"])
-            assert args.score == name and args.share_table
+                                 "--score", name])
+            assert args.score == name
         with pytest.raises(SystemExit):
             p.parse_args(["stress", "--protocol", "eob-bfs",
                           "--score", "not-a-hook"])
@@ -146,17 +159,6 @@ class TestCommands:
                      "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "via process-pool" in out and "eob-bfs" in out
-
-    def test_stress_share_table_and_score_field_identical_default(self, capsys):
-        base = ["stress", "--protocol", "eob-bfs", "--family", "eob",
-                "--sizes", "4", "6", "--seeds", "0", "--threshold", "4"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(base + ["--share-table"]) == 0
-        shared = capsys.readouterr().out
-        # One shared transposition table per cell must not change any
-        # reported witness or maximum — only the search cost.
-        assert shared == plain
 
     def test_stress_store_round_trip_executes_zero_tasks(self, tmp_path,
                                                          capsys):
