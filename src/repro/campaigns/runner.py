@@ -15,8 +15,16 @@ The three guarantees campaigns are built around (pinned by
 ``tests/campaigns/``):
 
 * **resume** — every executed outcome is committed the moment the
-  backend yields it, so a killed ``campaign run`` restarts where it
-  died and finishes with the same merged report;
+  backend yields it, in campaign task order, so a killed ``campaign
+  run`` restarts where it died and finishes with the same merged
+  report.  A run is one backend submission: the misses of every cell
+  stream through one ``backend.run`` (one pool, one reorder buffer).  A
+  cell that repeats the fingerprint or warm-frontier cell key of a miss
+  still waiting in the submission starts a new one, so it sees that
+  miss committed exactly as a cell-by-cell run would.  Warm frontiers
+  are loaded for every miss before its submission; they never change a
+  fingerprint, but they can change the witness of a search that uses up
+  its step budget, so such a verdict depends on the store's history;
 * **purity** — an unchanged re-run executes zero tasks (every
   fingerprint hits) and produces a field-identical report;
 * **trajectory** — each completed run appends one deterministic
@@ -245,18 +253,27 @@ class CampaignResult:
         )
 
 
-def _run_tasks_with_store(
-    tasks: Sequence[ExecutionTask],
+def _run_cells_with_store(
+    cells: Sequence[Sequence[ExecutionTask]],
     store: ResultStore,
     backend: Optional[Backend] = None,
     campaign: Optional[str] = None,
     telemetry: Optional[RunTelemetry] = None,
     kernel: Optional[KernelAccumulator] = None,
     warm_frontiers: bool = False,
-) -> tuple[list[VerificationReport], int]:
-    """Execute ``tasks`` through ``store``: misses run on ``backend`` and
-    are committed as they stream; hits are deserialized.  Returns the
-    per-task reports *in task order* plus the hit count.
+) -> list[tuple[list[VerificationReport], int]]:
+    """Execute each cell's tasks through ``store``: hits are
+    deserialized, and the misses of every cell run in one
+    ``backend.run`` whose outcomes are committed as they stream.
+    Returns, per cell, its reports *in task order* plus its hit count.
+
+    Tasks are numbered campaign-wide (cell after cell); a miss whose
+    ``index`` differs from its number is re-indexed, so the task
+    ``index`` stays the ordering authority and hits build no new task.
+    A cell that repeats the fingerprint or frontier cell key of a miss
+    already waiting in the submission first runs that submission, so
+    the cell sees those outcomes committed, as a cell-by-cell run
+    would: reports and hit counts do not depend on the grouping.
 
     ``telemetry``/``kernel`` are pure observers layered over the sink
     chain (store commit first, then stats fold, then trace line) — the
@@ -264,57 +281,77 @@ def _run_tasks_with_store(
 
     ``warm_frontiers`` seeds every executed search cell's transposition
     table from the store's persistent frontiers (current-salt rows for
-    the cell's exact scope) and commits the cell's dirty rows back,
-    parent-side, the moment its outcome streams out.  Report-invariant
-    by construction — warm entries never change a witness, only the
-    kernel steps spent finding it — so the fingerprints (and therefore
-    the hit/miss split) are identical with the knob on or off.
+    the cell's exact scope, loaded just before the submission) and
+    commits the cell's dirty rows back, parent-side, the moment its
+    outcome streams out.  Fingerprints never see it, so the hit/miss
+    split is identical with the knob on or off.  A search that finishes
+    within its step budget returns the same witness warm or cold; a
+    budget-bound one may return a different witness, because warm
+    entries change which nodes the budget reaches.
     """
     backend = backend if backend is not None else SerialBackend()
-    fingerprints = {task.index: store.fingerprint(task) for task in tasks}
-    cached: dict[int, VerificationReport] = {}
-    misses: list[ExecutionTask] = []
-    for task in tasks:
-        report = store.get(fingerprints[task.index])
-        if report is None:
-            misses.append(task)
-        else:
-            cached[task.index] = report
-            if telemetry is not None:
-                telemetry.record_hit(task.index, fingerprints[task.index])
-    frontier_keys: Optional[dict[int, str]] = None
-    if warm_frontiers:
-        frontier_keys = {}
-        warmed: list[ExecutionTask] = []
-        for task in misses:
-            if task.mode != "search":
-                warmed.append(task)
-                continue
-            cell_key = task_cell_key(task)
-            frontier_keys[task.index] = cell_key
-            warmed.append(replace(
-                task, frontiers=tuple(store.load_frontiers(cell_key))
-            ))
-        misses = warmed
-    sink: ResultSink = StoreBackedSink(store, fingerprints, campaign=campaign,
-                                       frontier_keys=frontier_keys)
-    inner = sink
-    if kernel is not None:
-        sink = KernelStatsSink(sink, kernel)
-    if telemetry is not None:
-        sink = telemetry.sink(sink)
-    # Drive the backend one outcome at a time: each add() commits before
-    # the next outcome is awaited, which is the kill-resume guarantee.
-    for outcome in backend.run(misses):
-        sink.add(outcome)
-    executed = {o.index: o.report for o in inner.result()}
-    reports = []
-    for task in tasks:
-        report = cached.get(task.index)
-        if report is None:
-            report = executed[task.index]
-        reports.append(report)
-    return reports, len(cached)
+    reports: dict[int, VerificationReport] = {}
+    fingerprints: dict[int, str] = {}
+    frontier_keys: Optional[dict[int, str]] = {} if warm_frontiers else None
+    misses: list[tuple[int, ExecutionTask]] = []
+
+    def submit() -> None:
+        tasks = []
+        for i, task in misses:
+            changes: dict = {} if task.index == i else {"index": i}
+            cell_key = frontier_keys.get(i) if frontier_keys else None
+            if cell_key is not None:
+                changes["frontiers"] = tuple(store.load_frontiers(cell_key))
+            tasks.append(replace(task, **changes) if changes else task)
+        misses.clear()
+        if not tasks:
+            return
+        sink: ResultSink = StoreBackedSink(
+            store, fingerprints, campaign=campaign, frontier_keys=frontier_keys
+        )
+        inner = sink
+        if kernel is not None:
+            sink = KernelStatsSink(sink, kernel)
+        if telemetry is not None:
+            sink = telemetry.sink(sink)
+        # Drive the backend one outcome at a time: each add() commits
+        # before the next outcome is awaited, which is the kill-resume
+        # guarantee.
+        for outcome in backend.run(tasks):
+            sink.add(outcome)
+        reports.update((o.index, o.report) for o in inner.result())
+
+    layout: list[tuple[int, int, int]] = []
+    index = 0
+    for cell_tasks in cells:
+        prints = [store.fingerprint(task) for task in cell_tasks]
+        if not {fingerprints[i] for i, _ in misses}.isdisjoint(prints):
+            submit()
+        start, hits = index, 0
+        cell_misses = []
+        for task, fingerprint in zip(cell_tasks, prints):
+            report = store.get(fingerprint)
+            if report is None:
+                fingerprints[index] = fingerprint
+                cell_misses.append((index, task))
+            else:
+                reports[index] = report
+                hits += 1
+                if telemetry is not None:
+                    telemetry.record_hit(index, fingerprint)
+            index += 1
+        if frontier_keys is not None:
+            keys = {i: task_cell_key(task) for i, task in cell_misses
+                    if task.mode == "search"}
+            waiting = {frontier_keys.get(i) for i, _ in misses}
+            if not waiting.isdisjoint(keys.values()):
+                submit()
+            frontier_keys.update(keys)
+        misses.extend(cell_misses)
+        layout.append((start, index, hits))
+    submit()
+    return [([reports[i] for i in range(start, stop)], hits)
+            for start, stop, hits in layout]
 
 
 def run_plan_with_store(
@@ -333,8 +370,8 @@ def run_plan_with_store(
     exact round-trips, misses execute normally — and every executed
     task becomes a future hit.
     """
-    reports, _ = _run_tasks_with_store(
-        plan.tasks, store, backend=backend, campaign=campaign,
+    [(reports, _)] = _run_cells_with_store(
+        [plan.tasks], store, backend=backend, campaign=campaign,
         telemetry=telemetry, kernel=kernel, warm_frontiers=warm_frontiers,
     )
     merged = VerificationReport(
@@ -381,7 +418,8 @@ class Campaign:
     ) -> CampaignResult:
         """Run (or resume, or replay from cache) the whole campaign.
 
-        Cells execute in spec order, tasks in plan order; the merged
+        Cells execute in spec order, tasks in plan order, as one backend
+        submission (see :func:`_run_cells_with_store`); the merged
         report folds per-task reports in exactly that order, so any
         backend — and any hit/miss split — produces the identical
         result.  Completing the run appends one trajectory generation
@@ -389,17 +427,19 @@ class Campaign:
         snapshot in the store's meta table for ``campaign status``.
         """
         spec = self.spec
+        plans = list(spec.plans())
+        if telemetry is not None:
+            for _, plan in plans:
+                telemetry.add_plan(plan)
+        kernel = KernelAccumulator()
+        outcomes = _run_cells_with_store(
+            [plan.tasks for _, plan in plans], store, backend=backend,
+            campaign=spec.name, telemetry=telemetry, kernel=kernel,
+            warm_frontiers=warm_frontiers,
+        )
         overall = VerificationReport(spec.name, spec.mode)
         cell_results: list[CellResult] = []
-        kernel = KernelAccumulator()
-        for cell, plan in spec.plans():
-            if telemetry is not None:
-                telemetry.add_plan(plan)
-            reports, hits = _run_tasks_with_store(
-                plan.tasks, store, backend=backend, campaign=spec.name,
-                telemetry=telemetry, kernel=kernel,
-                warm_frontiers=warm_frontiers,
-            )
+        for (cell, plan), (reports, hits) in zip(plans, outcomes):
             merged = VerificationReport(
                 "+".join(plan.protocol_names), "+".join(plan.model_names)
             )

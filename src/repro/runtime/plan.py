@@ -119,9 +119,10 @@ class ExecutionTask:
     #: strategies search without a transposition table; a (possibly
     #: empty) tuple enables it — the cell attaches one table shared by
     #: its strategies, preloads the seeds, and exports its dirty rows on
-    #: the outcome.  The knob is report-invariant (warm entries never
-    #: change a witness, only the work done to find it), so
-    #: ``task_fingerprint`` deliberately excludes it.
+    #: the outcome.  ``task_fingerprint`` deliberately excludes it:
+    #: warm entries change only the work of a search that finishes
+    #: within its step budget, though they can change the witness of a
+    #: budget-bound one (the budget then reaches other nodes).
     frontiers: Optional[tuple] = None
 
     @property

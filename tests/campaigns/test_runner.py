@@ -1,5 +1,8 @@
 """Campaign acceptance: resume-after-kill, pure-cache re-runs, sharding."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.checkers import BuildEqualsInput
@@ -33,6 +36,17 @@ class KillAfter(Backend):
             if count >= self.survive:
                 raise KeyboardInterrupt("simulated kill")
             yield fn(item)
+
+
+class CountingBackend(SerialBackend):
+    """Serial backend that counts its ``run`` submissions."""
+
+    def __init__(self) -> None:
+        self.submissions = 0
+
+    def run(self, tasks):
+        self.submissions += 1
+        return super().run(tasks)
 
 
 def spec(name="t"):
@@ -156,6 +170,168 @@ class TestCampaignRun:
                                     (4,), (0,)),),
                 mode="exhaustive",
             )
+
+
+def three_cells(name="t3"):
+    return CampaignSpec(
+        name=name,
+        cells=(
+            CampaignCell("build-degenerate", "degenerate2", (4,), (0, 1)),
+            CampaignCell("build-forest", "forests", (4, 5), (0,)),
+            CampaignCell("bfs-bipartite-async", "odd-cycle-probe", (5,), (0,),
+                         allow_deadlock=True),
+        ),
+        mode="stress",
+        exhaustive_threshold=5,
+    )
+
+
+def cell_counts(result):
+    return [(c.tasks, c.hits, c.executed) for c in result.cells]
+
+
+def cell_by_cell(spec, store, **kwargs):
+    """The reference semantics: each cell run as its own campaign, in
+    spec order, against one store."""
+    return [Campaign(replace(spec, cells=(cell,))).run(store, **kwargs)
+            for cell in spec.cells]
+
+
+class TestOneSubmission:
+    """A campaign run streams every cell's misses through one backend
+    submission; reports, hit counts and commits stay cell-by-cell."""
+
+    def test_campaign_without_repeats_submits_once(self, tmp_path):
+        backend = CountingBackend()
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            result = Campaign(three_cells()).run(store, backend=backend)
+            again = Campaign(three_cells()).run(store, backend=backend)
+        assert backend.submissions == 1
+        assert result.executed == result.tasks == 5
+        assert again.hits == again.tasks  # an all-hit run submits nothing
+
+    def test_kill_inside_second_cell_resumes_field_identical(self, tmp_path):
+        campaign = Campaign(three_cells())
+        with ResultStore(tmp_path / "clean.db", salt="s") as store:
+            uninterrupted = campaign.run(store)
+            clean_rows = store.trajectory_rows("t3", 1)
+        first = uninterrupted.cells[0].tasks
+        survive = first + 1  # one outcome into the second cell
+        assert survive < first + uninterrupted.cells[1].tasks
+
+        with ResultStore(tmp_path / "killed.db", salt="s") as store:
+            with pytest.raises(KeyboardInterrupt):
+                campaign.run(store, backend=KillAfter(survive))
+            assert store.result_count() == survive
+            assert store.latest_generation("t3") == 0
+
+            resumed = campaign.run(store)
+            assert resumed.hits == survive
+            assert [c.hits for c in resumed.cells] == [first, 1, 0]
+            assert resumed.executed == uninterrupted.tasks - survive
+            assert resumed.report == uninterrupted.report
+            assert [c.report for c in resumed.cells] == [
+                c.report for c in uninterrupted.cells
+            ]
+            assert store.trajectory_rows("t3", 1) == clean_rows
+
+    def test_repeated_fingerprint_starts_a_new_submission(self, tmp_path):
+        """The second cell repeats the first cell's n=4 instance: it
+        must see that task committed (a hit), as a cell-by-cell run."""
+        repeat = CampaignSpec(
+            name="r",
+            cells=(
+                CampaignCell("build-degenerate", "degenerate2", (4,), (0,)),
+                CampaignCell("build-degenerate", "degenerate2", (4, 5), (0,)),
+            ),
+            mode="stress",
+            exhaustive_threshold=5,
+        )
+        with ResultStore(tmp_path / "ref.db", salt="s") as store:
+            reference = cell_by_cell(repeat, store)
+        backend = CountingBackend()
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            result = Campaign(repeat).run(store, backend=backend)
+        assert backend.submissions == 2
+        assert cell_counts(result) == [(1, 0, 1), (2, 1, 1)]
+        assert cell_counts(result) == [
+            cell for ref in reference for cell in cell_counts(ref)
+        ]
+        assert [c.report for c in result.cells] == [
+            ref.cells[0].report for ref in reference
+        ]
+
+    def test_repeated_frontier_cell_key_starts_a_new_submission(
+            self, tmp_path):
+        """``allow_deadlock`` enters the fingerprint but not the frontier
+        cell key: the twin cell must load the frontiers the first cell
+        exported, as a cell-by-cell warm run does."""
+        twin = CampaignSpec(
+            name="w",
+            cells=(
+                CampaignCell("bfs-bipartite-async", "even-odd-bipartite",
+                             (6,), (0,)),
+                CampaignCell("bfs-bipartite-async", "even-odd-bipartite",
+                             (6,), (0,), allow_deadlock=True),
+            ),
+            mode="stress",
+            exhaustive_threshold=5,
+        )
+        with ResultStore(tmp_path / "ref.db", salt="s") as store:
+            reference = cell_by_cell(twin, store, warm_frontiers=True)
+        backend = CountingBackend()
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            result = Campaign(twin).run(store, backend=backend,
+                                        warm_frontiers=True)
+        assert backend.submissions == 2
+        assert reference[1].kernel.frontier_hits > 0
+        assert cell_counts(result) == [(1, 0, 1), (1, 0, 1)]
+        assert [c.report for c in result.cells] == [
+            ref.cells[0].report for ref in reference
+        ]
+        assert result.kernel == reference[0].kernel.merge(reference[1].kernel)
+
+    def test_cli_stdout_keeps_per_cell_semantics(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = str(tmp_path / "c.db")
+        assert main(["campaign", "run", "--store", store,
+                     "--protocol", "build-degenerate",
+                     "--protocol", "build-degenerate",
+                     "--sizes", "4", "5", "--seeds", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith(
+            "  build-degenerate x degenerate2: 2 tasks, 0 hits, 2 executed")
+        assert lines[2].startswith(
+            "  build-degenerate x degenerate2: 2 tasks, 2 hits, 0 executed")
+        assert "4 tasks, 2 store hits, 2 executed (50% cached)" in lines[3]
+
+    def test_traced_pool_run_has_campaign_wide_task_indices(self, tmp_path):
+        from repro.cli import main
+        from repro.telemetry import RunTelemetry, validate_trace
+
+        spec = three_cells()
+        path = tmp_path / "run.jsonl"
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            # Serve the first cell from the store, so the trace holds
+            # both store hits and executed tasks.
+            Campaign(replace(spec, cells=spec.cells[:1])).run(store)
+            with RunTelemetry(path, command="test") as session:
+                with session.activate():
+                    result = Campaign(spec).run(
+                        store, backend=ProcessPoolBackend(jobs=2),
+                        telemetry=session)
+        manifest = validate_trace(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        tasks = [r["index"] for r in records if r["type"] == "task"]
+        hits = [r["index"] for r in records if r["type"] == "store-hit"]
+        first = result.cells[0].tasks
+        assert hits == list(range(first))
+        assert tasks == list(range(first, result.tasks))
+        assert manifest["tasks"] == result.executed
+        assert manifest["store_hits"] == result.hits
+        assert len(manifest["plans"]) == len(spec.cells)
+        assert main(["telemetry", "report", str(path)]) == 0
 
 
 def store_rows(path):

@@ -137,17 +137,17 @@ class TestFingerprintInvisible:
         sharded run serves a serial re-run entirely from cache — and
         vice versa.  Zero executions on the second pass."""
         from repro.campaigns import ResultStore
-        from repro.campaigns.runner import _run_tasks_with_store
+        from repro.campaigns.runner import _run_cells_with_store
 
         plan = _stress_plan(sizes=(6,), faults="crash:1")
         with ResultStore(tmp_path / "s.db", salt="t") as store:
-            reports, hits = _run_tasks_with_store(
-                list(plan.tasks), store,
+            [(reports, hits)] = _run_cells_with_store(
+                [plan.tasks], store,
                 backend=ProcessPoolBackend(jobs=2, chunk_size=1))
             assert hits == 0 and store.writes == len(plan.tasks)
             writes_before = store.writes
-            again, hits = _run_tasks_with_store(
-                list(plan.tasks), store, backend=SerialBackend())
+            [(again, hits)] = _run_cells_with_store(
+                [plan.tasks], store, backend=SerialBackend())
             assert hits == len(plan.tasks)
             assert store.writes == writes_before
             assert [vars(r) for r in again] == [vars(r) for r in reports]
