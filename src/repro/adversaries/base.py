@@ -250,6 +250,13 @@ class AdversarySearch(ABC):
     :class:`~repro.adversaries.kernel.SearchContext` threaded through
     ``search`` — one context per stress cell is what lets strategies
     reuse each other's pruning knowledge.
+
+    A strategy records each terminal leaf it reaches through
+    ``_witness(state, explored, best)``: the leaf replaces the
+    incumbent only when it ranks *strictly* worse by
+    :func:`witness_rank`, so of tied leaves the first one reached is
+    kept, with its ``explored``.  No witness is built for a leaf that
+    does not replace the incumbent.
     """
 
     name: str = "adversary-search"
@@ -290,15 +297,24 @@ class AdversarySearch(ABC):
         return ExecutionState.initial(graph, protocol, model, bit_budget,
                                       faults=faults)
 
-    def _witness(self, state: ExecutionState, explored: int) -> Witness:
+    def _witness(self, state: ExecutionState, explored: int,
+                 best: Optional[Witness] = None) -> Witness:
         """Freeze a terminal state into a witness (no output computation —
-        scoring only needs the board accounting)."""
-        board = state.board
-        return Witness(
-            strategy=self.name,
-            schedule=state.schedule,
-            bits=board.max_bits(),
-            total_bits=board.total_bits(),
-            deadlock=state.deadlocked,
-            explored=explored,
-        )
+        scoring only needs the board accounting).
+
+        With an incumbent ``best`` this is the one leaf rule every
+        strategy records terminal leaves by: the leaf's ``(deadlock, bits, total_bits)``
+        is compared with :func:`witness_rank` of ``best`` first, and a
+        witness is built only when the leaf ranks *strictly* worse.  A
+        tie keeps ``best`` — and its ``explored`` — exactly as
+        ``worst_witness(best, leaf)`` would, without paying for a
+        witness that is thrown away.
+        """
+        deadlock = state.deadlocked
+        sizes = [entry.bits for entry in state.board.entries]
+        bits = max(sizes, default=0)
+        total = sum(sizes)
+        if best is not None and (deadlock, bits, total) <= witness_rank(best):
+            return best
+        return Witness(self.name, state.schedule, bits, total, deadlock,
+                       explored)

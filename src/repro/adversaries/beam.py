@@ -121,9 +121,7 @@ class BeamSearchAdversary(AdversarySearch):
                     meter.spend()
                     child = state.copy().advance(choice)
                     if child.terminal:
-                        witness = self._witness(child, meter.spent)
-                        best = (witness if best is None
-                                else worst_witness(best, witness))
+                        best = self._witness(child, meter.spent, best)
                     else:
                         tiebreak = (rng.random() if rng is not None
                                     else 0.0)

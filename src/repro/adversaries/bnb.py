@@ -52,7 +52,9 @@ class BranchAndBoundAdversary(AdversarySearch):
       the step budget truncates leaves no entry.
 
     Within ``max_steps`` the sweep is complete, so the witness is the
-    exact worst case (ties broken towards the DFS-first schedule).  When
+    exact worst case (ties broken towards the DFS-first schedule: a
+    leaf replaces the incumbent only when it ranks strictly worse, and
+    only then is a witness built for it).  When
     the budget runs out the incumbent is returned and, if ``restarts``
     is positive, additional budgeted passes with seeded-random child
     order diversify the truncated exploration — the branch-and-bound
@@ -140,9 +142,7 @@ class BranchAndBoundAdversary(AdversarySearch):
         return False
 
     def _record(self, state: ExecutionState) -> None:
-        witness = self._witness(state, self._meter.spent)
-        self._best = (witness if self._best is None
-                      else worst_witness(self._best, witness))
+        self._best = self._witness(state, self._meter.spent, self._best)
 
     def _advance(self, state: ExecutionState, choice: int,
                  limit: Optional[int]) -> None:
@@ -219,8 +219,8 @@ class BranchAndBoundAdversary(AdversarySearch):
             if rng is not None:
                 rng.shuffle(candidates)
             completions: list[Completion] = []
+            checkpoint = state.snapshot()
             for choice in candidates:
-                checkpoint = state.snapshot()
                 self._advance(state, choice, limit)
                 if table is None:
                     self._dfs(state, rng, limit)

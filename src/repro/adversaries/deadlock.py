@@ -130,18 +130,15 @@ class DeadlockAdversary(AdversarySearch):
 
     def _dfs(self, state: ExecutionState) -> Optional[Witness]:
         if state.terminal:
-            witness = self._witness(state, self._meter.spent)
             if state.deadlocked:
-                return witness
-            self._best_complete = (
-                witness if self._best_complete is None
-                else worst_witness(self._best_complete, witness)
-            )
+                return self._witness(state, self._meter.spent)
+            self._best_complete = self._witness(state, self._meter.spent,
+                                                self._best_complete)
             return None
         table = self._table
         children = []
+        checkpoint = state.snapshot()
         for choice in state.candidates:
-            checkpoint = state.snapshot()
             self._meter.spend()
             state.advance(choice)
             if state.deadlocked:
@@ -176,7 +173,6 @@ class DeadlockAdversary(AdversarySearch):
                                           edge_total, entry)
                         continue
                 self._seen.add(key)
-            checkpoint = state.snapshot()
             self._meter.spend()
             state.advance(choice)
             found = self._dfs(state)

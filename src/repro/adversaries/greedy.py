@@ -135,8 +135,8 @@ class GreedyBitsAdversary(AdversarySearch):
                 continue
             best_choice = None
             best_score = None
+            checkpoint = state.snapshot()
             for choice in candidates:
-                checkpoint = state.snapshot()
                 meter.spend()
                 state.advance(choice)
                 score = (state.deadlocked, sign * hook.step_score(state))

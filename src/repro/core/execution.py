@@ -21,9 +21,13 @@ into an explicit state machine instead:
   first-class checkpointing.  For *stateless* protocols (``fresh()``
   returns ``self``) restore is an O(steps-undone) journal rollback — the
   checkpoint/undo DFS that used to be hard-wired into the enumerator.
-  Stateful protocols (per-run caches the engine cannot snapshot) are
-  restored by replaying the choice prefix from scratch on a fresh
-  protocol instance, which is always correct;
+  Their checkpoints carry only a depth, so one shared, immutable
+  :class:`Checkpoint` per depth serves every snapshot.  Each journal
+  entry also keeps the candidate pair cached before its event, and
+  undo puts it back: after a rollback the candidate sets are not
+  recomputed.  Stateful protocols (per-run caches the engine cannot
+  snapshot) are restored by replaying the choice prefix from scratch on
+  a fresh protocol instance, which is always correct;
 * :meth:`ExecutionState.copy` forks an independent state (beam searches
   hold a frontier of them);
 * :meth:`ExecutionState.result` freezes a terminal configuration into a
@@ -48,6 +52,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional, Union
 
 from ..encoding.bits import payload_bits, payload_key
@@ -142,7 +147,9 @@ class Checkpoint:
     ``depth`` is the schedule-prefix length; ``choices`` is carried only
     for stateful protocols, whose restore path replays it from scratch.
     A checkpoint is valid only for restoring an extension of the state it
-    was taken from (the DFS/backtracking discipline).
+    was taken from (the DFS/backtracking discipline).  Stateless
+    checkpoints are shared: every snapshot at one depth returns the same
+    instance.
     """
 
     depth: int
@@ -158,7 +165,7 @@ class ExecutionState:
         "frozen_bits", "activation_round", "choices", "crashes_left",
         "losses_left", "dups_left", "last_event_bits", "last_event_total",
         "_journal", "_candidates", "_entry_keys", "_board_views",
-        "_frozen_keys", "_output_memo",
+        "_frozen_keys", "_output_memo", "_checkpoints",
     )
 
     def __init__(self) -> None:  # use ExecutionState.initial(...)
@@ -183,6 +190,7 @@ class ExecutionState:
         proto = protocol.fresh()
         self.proto = proto
         self.stateless = proto is protocol
+        self._checkpoints = _depth_checkpoints(graph.n)
         #: ``(output, output_error)`` per board multiset key; ``None``
         #: until :meth:`memoize_outputs` arms it.
         self._output_memo = None
@@ -463,28 +471,25 @@ class ExecutionState:
 
     def _view_of(self, v: int) -> NodeView:
         g = self.graph
-        return NodeView(node=v, neighbors=g.neighbors(v), n=g.n,
-                        board=self.board_view())
+        return NodeView(v, g.neighbors(v), g.n, self.board_view())
 
-    def _activation_pass(self, event: int) -> list[int]:
+    def _activation_pass(self, event: int) -> tuple[int, ...]:
         """Activate eligible nodes; return them so restore can undo.
 
         All awake nodes examine the same board snapshot: activations
         within one round are simultaneous and cannot see each other.
         """
-        added: list[int] = []
         model = self.model
+        if model.simultaneous and event:
+            return ()  # everyone activated in round 0
+        added: list[int] = []
         proto = self.proto
         active, written = self.active, self.written
         crashed = self.crashed
         for v in self.graph.nodes():
             if v in active or v in written or v in crashed:
                 continue
-            if model.simultaneous:
-                should = event == 0  # everyone activates after round 1
-            else:
-                should = bool(proto.wants_to_activate(self._view_of(v)))
-            if should:
+            if model.simultaneous or proto.wants_to_activate(self._view_of(v)):
                 active.add(v)
                 self.activation_round[v] = event
                 added.append(v)
@@ -494,7 +499,7 @@ class ExecutionState:
                     self.frozen[v] = self._own_payload(
                         proto.message(self._view_of(v))
                     )
-        return added
+        return tuple(added)
 
     def _message_bits(self, writer: int, payload: Any) -> int:
         if self.model.asynchronous:
@@ -536,12 +541,12 @@ class ExecutionState:
         if self.bit_budget is not None and bits > self.bit_budget:
             raise MessageTooLarge(choice, bits, self.bit_budget)
         event = len(self.choices) + 1
-        self.board.write(choice, payload, event, bits=bits)
+        self.board.write(choice, payload, event, bits)
         self.written.add(choice)
         self.active.discard(choice)
         activated = self._activation_pass(event)
         self.choices.append(choice)
-        self._journal.append(("w", choice, tuple(activated)))
+        self._journal.append(("w", choice, activated, self._candidates))
         self.last_event_bits = bits
         self.last_event_total = bits
         self._candidates = None
@@ -563,6 +568,7 @@ class ExecutionState:
         the undo path exact, so snapshot/restore and ``config_key()``
         keep working unchanged under faults."""
         kind, node = decode_choice(choice, self.graph.n)
+        pair = self._candidates  # cached by advance's candidate check
         if kind == "crash":
             # Crash-stop: the node halts for good; its pending frozen
             # message (asynchronous models) is discarded.  The board is
@@ -580,7 +586,7 @@ class ExecutionState:
             self.crashed.add(node)
             self.crashes_left -= 1
             self.choices.append(choice)
-            self._journal.append(("c", node, (was_active, saved)))
+            self._journal.append(("c", node, (was_active, saved), pair))
             self.last_event_bits = 0
             self.last_event_total = 0
         elif kind == "loss":
@@ -592,7 +598,7 @@ class ExecutionState:
             self.active.discard(node)
             self.losses_left -= 1
             self.choices.append(choice)
-            self._journal.append(("l", node, None))
+            self._journal.append(("l", node, None, pair))
             self.last_event_bits = 0
             self.last_event_total = 0
         else:  # dup
@@ -601,14 +607,14 @@ class ExecutionState:
             # max-message accounting sees a single message.
             payload, bits = self._produce_message(node)
             event = len(self.choices) + 1
-            self.board.write(node, payload, event, bits=bits)
-            self.board.write(node, payload, event, bits=bits)
+            self.board.write(node, payload, event, bits)
+            self.board.write(node, payload, event, bits)
             self.written.add(node)
             self.active.discard(node)
             activated = self._activation_pass(event)
             self.dups_left -= 1
             self.choices.append(choice)
-            self._journal.append(("d", node, tuple(activated)))
+            self._journal.append(("d", node, activated, pair))
             self.last_event_bits = bits
             self.last_event_total = 2 * bits
         self._candidates = None
@@ -617,17 +623,26 @@ class ExecutionState:
     # -- checkpointing -------------------------------------------------
 
     def snapshot(self) -> Checkpoint:
-        """Checkpoint the current configuration (O(1) for stateless
-        protocols; records the choice prefix for stateful ones)."""
+        """Checkpoint the current configuration.
+
+        For stateless protocols a checkpoint is nothing but its depth,
+        so every state hands out the one shared, immutable
+        :class:`Checkpoint` of that depth (O(1), no allocation).
+        Stateful protocols get a fresh checkpoint recording the choice
+        prefix.
+        """
         if self.stateless:
-            return Checkpoint(len(self.choices))
+            return self._checkpoints[len(self.choices)]
         return Checkpoint(len(self.choices), tuple(self.choices))
 
     def restore(self, checkpoint: Checkpoint) -> "ExecutionState":
         """Roll back to ``checkpoint`` (an ancestor of this state).
 
-        Stateless protocols undo the journal step by step; stateful ones
-        replay the checkpointed prefix on a fresh protocol instance.
+        Stateless protocols undo the journal step by step; each undone
+        event puts back the candidate pair cached before it, so the
+        next :attr:`candidates` read after a rollback costs nothing.
+        Stateful ones replay the checkpointed prefix on a fresh protocol
+        instance.
         """
         if checkpoint.depth > len(self.choices):
             raise ValueError(
@@ -643,12 +658,12 @@ class ExecutionState:
             self._reset()
             for choice in prefix:
                 self.advance(choice)
-        self._candidates = None
         return self
 
     def _undo_one(self) -> None:
-        """Undo the last schedule event and its side-effects."""
-        kind, node, data = self._journal.pop()
+        """Undo the last schedule event and its side-effects, and put
+        back the candidate pair cached before it."""
+        kind, node, data, self._candidates = self._journal.pop()
         self.choices.pop()
         if kind == "c":
             was_active, saved = data
@@ -678,14 +693,16 @@ class ExecutionState:
                 self.frozen.pop(v, None)
                 self.frozen_bits.pop(v, None)
                 self._frozen_keys.pop(v, None)
-        self.board.entries.pop()
+        entries = self.board.entries
+        entries.pop()
         if kind == "d":
-            self.board.entries.pop()
+            entries.pop()
             self.dups_left += 1
-        if len(self._entry_keys) > len(self.board.entries):
-            del self._entry_keys[len(self.board.entries):]
-        if len(self._board_views) > len(self.board.entries) + 1:
-            del self._board_views[len(self.board.entries) + 1:]
+        size = len(entries)
+        if len(self._entry_keys) > size:
+            del self._entry_keys[size:]
+        if len(self._board_views) > size + 1:
+            del self._board_views[size + 1:]
         self.written.discard(node)
         self.active.add(node)
 
@@ -730,6 +747,7 @@ class ExecutionState:
         clone._board_views = list(self._board_views)
         clone._frozen_keys = dict(self._frozen_keys)
         clone._output_memo = self._output_memo
+        clone._checkpoints = self._checkpoints
         return clone
 
     # -- results -------------------------------------------------------
@@ -772,6 +790,14 @@ class ExecutionState:
             crashed=frozenset(self.crashed),
             output_error=output_error,
         )
+
+
+@lru_cache(maxsize=None)
+def _depth_checkpoints(n: int) -> tuple[Checkpoint, ...]:
+    """The shared stateless checkpoints of an ``n``-node execution, one
+    per depth.  Every schedule event terminates one node, so no schedule
+    is longer than ``n``."""
+    return tuple(Checkpoint(depth) for depth in range(n + 1))
 
 
 def board_output(

@@ -141,13 +141,9 @@ class Whiteboard:
         simulator charges the budget before writing) pass the size in
         instead of recomputing the canonical encoding length.
         """
-        entry = Entry(
-            index=len(self.entries),
-            author=author,
-            payload=payload,
-            bits=payload_bits(payload) if bits is None else bits,
-            round_written=round_written,
-        )
+        entry = Entry(len(self.entries), author, payload,
+                      payload_bits(payload) if bits is None else bits,
+                      round_written)
         self.entries.append(entry)
         return entry
 

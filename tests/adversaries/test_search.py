@@ -25,7 +25,7 @@ from repro.adversaries import bnb as bnb_module
 from repro.core.execution import ExecutionState, replay_schedule
 from repro.core.models import ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.protocol import NodeView, Protocol
-from repro.core.simulator import all_executions
+from repro.core.simulator import all_executions, terminal_states
 from repro.faults.spec import resolve_faults
 from repro.graphs import generators as gen
 from repro.graphs.labeled_graph import LabeledGraph
@@ -40,6 +40,20 @@ class EchoProtocol(Protocol):
 
     def message(self, view: NodeView):
         return (view.node, len(view.board))
+
+    def output(self, board, n):
+        return tuple(board)
+
+
+class LateEcho(Protocol):
+    """Nodes 2 and 3 write how many messages precede them; 1 and 4
+    write 0.  On a path of 4 the first leaf is not maximal, and four
+    leaves tie for the maximum."""
+
+    name = "late-echo"
+
+    def message(self, view: NodeView):
+        return (view.node, len(view.board) if view.node in (2, 3) else 0)
 
     def output(self, board, n):
         return tuple(board)
@@ -303,6 +317,30 @@ class TestStrategyMechanics:
             g, EobBfsProtocol(), ASYNC)
         assert not witness.deadlock
         replay_schedule(g, EobBfsProtocol(), ASYNC, witness.schedule)
+
+    def test_ties_keep_the_first_maximal_leaf(self):
+        """A leaf replaces the incumbent only when it ranks strictly
+        worse, so of tied maximal leaves the first one found wins.  The
+        SYNC instance activates every node in round 0 and has no frozen
+        tail, so the unshuffled bnb sweep meets its leaves in
+        ``terminal_states`` order; the deadlock DFS does too, since every
+        child there has the same number of candidates."""
+        g = gen.path_graph(4)
+        leaves = [((s.deadlocked, s.board.max_bits(), s.board.total_bits()),
+                   s.schedule)
+                  for s in terminal_states(
+                      ExecutionState.initial(g, LateEcho(), SYNC))]
+        top = max(rank for rank, _ in leaves)
+        tied = [schedule for rank, schedule in leaves if rank == top]
+        assert len(tied) == 4 and leaves[0][0] < top
+        bnb = BranchAndBoundAdversary().search(g, LateEcho(), SYNC)
+        assert (bnb.deadlock, bnb.bits, bnb.total_bits) == top
+        assert bnb.schedule == tied[0] == (1, 4, 2, 3)
+        assert bnb.explored == 4 + 4 * 3 + 4 * 3 * 2 * 2  # every tree edge
+        dfs = DeadlockAdversary().search(g, LateEcho(), SYNC)
+        assert (dfs.deadlock, dfs.bits, dfs.total_bits) == top
+        assert dfs.schedule == tied[0]
+        assert dfs.explored == 2 * bnb.explored  # every edge probed, then walked
 
     def test_worst_witness_ranking(self):
         from repro.adversaries.base import Witness

@@ -57,10 +57,16 @@ def fingerprint(state: ExecutionState):
         tuple((e.author, e.payload, e.bits, e.round_written)
               for e in state.board.entries),
         state.candidates,
+        state.write_candidates,
         dict(state.activation_round),
         set(state.written),
         set(state.active),
+        state.config_key(),
     )
+
+
+#: Fault budgets the checkpoint tests cover: none, each kind alone, all.
+FAULT_BUDGETS = [None, "crash:1", "loss:1", "dup:1", "crash:1,loss:1,dup:1"]
 
 
 class TestStepMachine:
@@ -104,17 +110,47 @@ class TestStepMachine:
         with pytest.raises(MessageTooLarge):
             state.advance(1)
 
+    @pytest.mark.parametrize("stateful", [False, True],
+                             ids=["stateless", "stateful"])
+    @pytest.mark.parametrize("faults", FAULT_BUDGETS, ids=str)
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
-    def test_snapshot_restore_round_trip(self, model):
+    def test_snapshot_restore_round_trip(self, model, faults, stateful):
+        """Nested restores land on the configuration a fresh replay of
+        the same prefix builds — candidate sets (which an undo puts back
+        from the journal) and config key included.
+
+        Checkpoints are taken at every depth of the last-candidate path
+        (fault events first, where a budget allows them).  From the
+        deepest up, each is restored, checked, and left by a different
+        choice down to a leaf before the next, shallower restore.
+        """
+        from repro.hierarchy.adapters import FreezeAtActivation
+
         g = random_graph(5, 0.5, seed=2)
-        state = ExecutionState.initial(g, EchoProtocol(), model)
-        state.advance(state.candidates[0])
-        before = fingerprint(state)
-        checkpoint = state.snapshot()
+        proto = (FreezeAtActivation(EchoProtocol()) if stateful
+                 else EchoProtocol())
+
+        def replayed(schedule):
+            fresh = ExecutionState.initial(g, proto, model, faults=faults)
+            for choice in schedule:
+                fresh.advance(choice)
+            return fingerprint(fresh)
+
+        state = ExecutionState.initial(g, proto, model, faults=faults)
+        assert state.stateless is not stateful
+        path = []
         while not state.terminal:
+            path.append((state.snapshot(), fingerprint(state)))
             state.advance(state.candidates[-1])
-        state.restore(checkpoint)
-        assert fingerprint(state) == before
+        assert len(path) >= 3
+        for checkpoint, before in reversed(path):
+            # Read at the leaf too, so its (empty) candidates are cached
+            # when the restore below undoes past it.
+            assert fingerprint(state) == replayed(state.schedule)
+            state.restore(checkpoint)
+            assert fingerprint(state) == before == replayed(state.schedule)
+            while not state.terminal:
+                state.advance(state.candidates[0])
 
     def test_restore_rejects_descendant_checkpoint(self):
         state = ExecutionState.initial(path_graph(3), EchoProtocol(), SIMSYNC)
