@@ -28,7 +28,7 @@ trajectories are tracked across PRs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_adversary.py [--reps N]
+    PYTHONPATH=src python benchmarks/bench_adversary.py [--reps N] [--no-write]
 """
 
 from __future__ import annotations
@@ -218,6 +218,8 @@ def _median_time(fn, reps: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--no-write", action="store_true",
+                        help="skip rewriting reports/adversary_search.txt")
     args = parser.parse_args(argv)
 
     lines = ["adversary search vs exhaustive ground truth", ""]
@@ -269,10 +271,11 @@ def main(argv=None) -> int:
 
     lines.append("")
     lines.append(f"agreement on every fixture: {all_agree}")
-    REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text("\n".join(lines) + "\n")
     print(f"\nagreement on every fixture: {all_agree}")
-    print(f"report written to {REPORT_PATH}")
+    if not args.no_write:
+        REPORT_PATH.parent.mkdir(exist_ok=True)
+        REPORT_PATH.write_text("\n".join(lines) + "\n")
+        print(f"report written to {REPORT_PATH}")
     return 0 if all_agree else 1
 
 

@@ -570,12 +570,17 @@ def run_smoke_gate(reps: int) -> tuple[dict, list[str]]:
     ratios["telemetry_overhead_ratio"] = round(
         _telemetry_overhead_ratio(reps), 2)
 
-    for name, ratio in ratios.items():
-        if ratio < SMOKE_FLOORS[name]:
-            failures.append(
-                f"{name}: {ratio:.1f}x < {SMOKE_FLOORS[name]:.1f}x floor"
-            )
-    return ratios, failures
+    return ratios, failures + floor_failures(ratios)
+
+
+def floor_failures(ratios: dict) -> list[str]:
+    """One message per ratio below its same-machine floor.  Two decimals,
+    so the 0.95 floor and a 0.94 ratio read as what they are."""
+    return [
+        f"{name}: {ratio:.2f}x < {SMOKE_FLOORS[name]:.2f}x floor"
+        for name, ratio in ratios.items()
+        if ratio < SMOKE_FLOORS[name]
+    ]
 
 
 def run_benchmarks(reps: int, names=None) -> dict:
@@ -655,7 +660,7 @@ def main(argv=None) -> int:
     if args.smoke:
         ratios, failures = run_smoke_gate(reps)
         for name, ratio in ratios.items():
-            print(f"{name}: {ratio:.1f}x (floor {SMOKE_FLOORS[name]:.1f}x, "
+            print(f"{name}: {ratio:.2f}x (floor {SMOKE_FLOORS[name]:.2f}x, "
                   "same-machine)")
         if failures:
             print("PERF REGRESSION:\n  " + "\n  ".join(failures),

@@ -18,6 +18,11 @@ Layout
 ``repro.runtime``     execution plans, serial/process backends, sinks
 ``repro.analysis``    verification harness, Table 2 / figure regeneration
 
+Subpackages load on first use: ``import repro`` imports none of them,
+and ``from repro import core`` or ``repro.core`` loads ``repro.core``
+and what it needs.  A verdict (``stress``, ``campaign``) therefore never
+loads the report layers or numpy.
+
 Quickstart
 ----------
 >>> from repro import graphs, core, protocols
@@ -28,17 +33,7 @@ Quickstart
 True
 """
 
-from . import (
-    analysis,
-    core,
-    encoding,
-    experiments,
-    graphs,
-    hierarchy,
-    protocols,
-    reductions,
-    runtime,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -54,3 +49,18 @@ __all__ = [
     "runtime",
     "__version__",
 ]
+
+#: Every subpackage, so ``repro.<name>`` resolves after a bare
+#: ``import repro`` whether or not ``__all__`` lists it.
+_SUBPACKAGES = frozenset({
+    "adversaries", "analysis", "campaigns", "core", "encoding",
+    "experiments", "faults", "graphs", "hierarchy", "protocols",
+    "reductions", "runtime", "telemetry",
+})
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first attribute access (PEP 562)."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

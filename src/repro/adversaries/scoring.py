@@ -152,11 +152,19 @@ def register_score_hook(factory: Callable[[], ScoreHook],
 
 def resolve_score(score: Union[None, str, ScoreHook]) -> ScoreHook:
     """A hook instance from a name, an instance, or ``None`` (default
-    bits-greedy); unknown names raise with the known ones listed."""
+    bits-greedy); unknown names raise with the known ones listed.
+
+    Protocol-supplied hooks register when the census is imported.  A
+    process that has not imported it yet (a fresh interpreter, or a
+    pool worker started without fork) imports it before giving up on
+    a name.
+    """
     if score is None:
         return BitsGreedyScore()
     if isinstance(score, ScoreHook):
         return score
+    if score not in SCORE_HOOKS:
+        from ..protocols import census  # noqa: F401 - registers its hooks
     try:
         return SCORE_HOOKS[score]()
     except KeyError:

@@ -52,7 +52,8 @@ the ``mod 2^61 - 1`` arithmetic on paired-uint64 half-products (every
 partial fits 64 bits), and :meth:`L0Sampler.batch_update` falls back to
 the scalar loop whenever the stream's weights exceed the guarded int64
 headroom — so the fast path is an accelerator, never a semantics
-change.
+change.  numpy is imported on the first long stream (:func:`_numpy`),
+so a run whose streams are all short never loads it.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
-
-try:  # optional accelerator: the scalar path below is the authority
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 __all__ = [
     "FIELD_PRIME",
@@ -141,6 +137,18 @@ _MASK31 = (1 << 31) - 1
 _MASK30 = (1 << 30) - 1
 
 
+@lru_cache(maxsize=None)
+def _numpy():
+    """numpy, imported on the first long stream, or ``None`` when it is
+    missing.  It is an optional accelerator: the scalar loop is the
+    authority, and short streams never load it."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - the image bakes numpy in
+        return None
+    return numpy
+
+
 def mulmod61(a, b):
     """``(a * b) % FIELD_PRIME`` on uint64 lanes (vectorized, exact).
 
@@ -150,25 +158,26 @@ def mulmod61(a, b):
     ``2^62 ≡ 2``).  The property tests pin this lane-for-lane against
     Python's arbitrary-precision ``(a * b) % FIELD_PRIME``.
     """
-    a = _np.asarray(a, dtype=_np.uint64)
-    b = _np.asarray(b, dtype=_np.uint64)
-    a0 = a & _np.uint64(_MASK31)
-    a1 = a >> _np.uint64(31)
-    b0 = b & _np.uint64(_MASK31)
-    b1 = b >> _np.uint64(31)
+    np = _numpy()
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    a0 = a & np.uint64(_MASK31)
+    a1 = a >> np.uint64(31)
+    b0 = b & np.uint64(_MASK31)
+    b1 = b >> np.uint64(31)
     mid = a1 * b0 + a0 * b1
     # a*b = a1·b1·2^62 + mid·2^31 + a0·b0; reduce the mid term through a
     # 30/34 split so its shifted halves stay below 2^61 as well.
     t = (
-        ((a1 * b1) << _np.uint64(1))
-        + (mid >> _np.uint64(30))
-        + ((mid & _np.uint64(_MASK30)) << _np.uint64(31))
+        ((a1 * b1) << np.uint64(1))
+        + (mid >> np.uint64(30))
+        + ((mid & np.uint64(_MASK30)) << np.uint64(31))
         + a0 * b0
     )
-    p = _np.uint64(FIELD_PRIME)
-    t = (t >> _np.uint64(61)) + (t & p)
-    t = (t >> _np.uint64(61)) + (t & p)
-    return t - _np.where(t >= p, p, _np.uint64(0))
+    p = np.uint64(FIELD_PRIME)
+    t = (t >> np.uint64(61)) + (t & p)
+    t = (t >> np.uint64(61)) + (t & p)
+    return t - np.where(t >= p, p, np.uint64(0))
 
 
 def powmod61(base, exp):
@@ -177,17 +186,18 @@ def powmod61(base, exp):
     Vectorized square-and-multiply over the exponent bits; ``base``
     must hold reduced residues.  Broadcasts like numpy ufuncs do.
     """
-    base, exp = _np.broadcast_arrays(
-        _np.asarray(base, dtype=_np.uint64), _np.asarray(exp, dtype=_np.uint64)
+    np = _numpy()
+    base, exp = np.broadcast_arrays(
+        np.asarray(base, dtype=np.uint64), np.asarray(exp, dtype=np.uint64)
     )
     base = base.copy()
     exp = exp.copy()
-    out = _np.ones(base.shape, dtype=_np.uint64)
+    out = np.ones(base.shape, dtype=np.uint64)
     while True:
-        odd = (exp & _np.uint64(1)).astype(bool)
+        odd = (exp & np.uint64(1)).astype(bool)
         if odd.any():
             out[odd] = mulmod61(out[odd], base[odd])
-        exp = exp >> _np.uint64(1)
+        exp = exp >> np.uint64(1)
         if not exp.any():
             return out
         base = mulmod61(base, base)
@@ -199,15 +209,16 @@ def _sum_mod61(v):
     Folds in chunks of eight — ``8 * (p - 1) < 2^64``, so the chunk
     sums cannot wrap — reducing 8x per pass.
     """
-    p = _np.uint64(FIELD_PRIME)
+    np = _numpy()
+    p = np.uint64(FIELD_PRIME)
     while v.size > 1:
         pad = (-v.size) % 8
         if pad:
-            v = _np.concatenate([v, _np.zeros(pad, dtype=_np.uint64)])
-        v = v.reshape(-1, 8).sum(axis=1, dtype=_np.uint64)
-        v = (v >> _np.uint64(61)) + (v & p)
-        v = (v >> _np.uint64(61)) + (v & p)
-        v = v - _np.where(v >= p, p, _np.uint64(0))
+            v = np.concatenate([v, np.zeros(pad, dtype=np.uint64)])
+        v = v.reshape(-1, 8).sum(axis=1, dtype=np.uint64)
+        v = (v >> np.uint64(61)) + (v & p)
+        v = (v >> np.uint64(61)) + (v & p)
+        v = v - np.where(v >= p, p, np.uint64(0))
     return int(v[0]) if v.size else 0
 
 
@@ -372,9 +383,9 @@ class L0Sampler:
         if not isinstance(deltas, (list, tuple)):
             deltas = list(deltas)
         if (
-            _np is not None
-            and len(items) == len(deltas)
+            len(items) == len(deltas)
             and len(items) >= _FAST_MIN_ITEMS
+            and _numpy() is not None
             and self._batch_update_fast(items, deltas)
         ):
             return
@@ -399,16 +410,17 @@ class L0Sampler:
         land before a ``ValueError``.  On ``True`` every aggregate has
         been advanced to exactly what the scalar loop would produce.
         """
+        np = _numpy()
         seed, levels = self.seed, self.levels
         try:
-            it = _np.array(items, dtype=_np.int64)
-            de = _np.array(deltas, dtype=_np.int64)
+            it = np.array(items, dtype=np.int64)
+            de = np.array(deltas, dtype=np.int64)
         except (OverflowError, TypeError, ValueError):
             return False
         if (it < 1).any():
             return False  # scalar loop raises at the offending update
         max_item = int(it.max())
-        max_delta = int(_np.abs(de).max()) if de.size else 0
+        max_delta = int(np.abs(de).max()) if de.size else 0
         # cumsum(de * it) must stay inside int64: guard the worst case
         # with exact Python-int arithmetic before trusting the lanes.
         if (
@@ -417,29 +429,29 @@ class L0Sampler:
             or it.size * max_delta * max_item >= (1 << 62)
         ):
             return False
-        top = _np.array(
-            [min(_geom(seed, int(i)), levels) for i in items], dtype=_np.int64
+        top = np.array(
+            [min(_geom(seed, int(i)), levels) for i in items], dtype=np.int64
         )
-        order = _np.argsort(-top, kind="stable")
+        order = np.argsort(-top, kind="stable")
         it_s = it[order]
         de_s = de[order]
         top_s = top[order]
-        cum_d = _np.cumsum(de_s)
-        cum_di = _np.cumsum(de_s * it_s)
-        items_u = it_s.astype(_np.uint64)
-        deltas_u = (de_s % _np.int64(FIELD_PRIME)).astype(_np.uint64)
+        cum_d = np.cumsum(de_s)
+        cum_di = np.cumsum(de_s * it_s)
+        items_u = it_s.astype(np.uint64)
+        deltas_u = (de_s % np.int64(FIELD_PRIME)).astype(np.uint64)
         zs = _cell_zs(seed, levels)
         c0, c1, fp = self._c0, self._c1, self._fp
         for l in range(levels + 1):
             # Levels contribute to prefixes of the top-descending order:
             # item i updates cells 0..top_i, so level l sees every item
             # with top >= l.
-            k = int(_np.searchsorted(-top_s, -l, side="right"))
+            k = int(np.searchsorted(-top_s, -l, side="right"))
             if k == 0:
                 break
             c0[l] += int(cum_d[k - 1])
             c1[l] += int(cum_di[k - 1])
-            powers = powmod61(_np.uint64(zs[l]), items_u[:k])
+            powers = powmod61(np.uint64(zs[l]), items_u[:k])
             terms = mulmod61(deltas_u[:k], powers)
             fp[l] = (fp[l] + _sum_mod61(terms)) % FIELD_PRIME
         return True

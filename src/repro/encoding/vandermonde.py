@@ -6,12 +6,16 @@ its neighbourhood — which equals the power-sum vector computed directly
 in :mod:`repro.encoding.power_sums`.  This module exists to mirror the
 paper's linear-algebra presentation and to cross-check both views of the
 encoding; entries grow like ``n^k`` so the matrix uses exact Python
-integers (``object`` dtype) whenever int64 could overflow.
+integers (``object`` dtype) whenever int64 could overflow.  numpy is
+imported on first call, so importing the encoding layer never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["vandermonde_matrix", "encode_incidence", "max_entry_bits"]
 
@@ -21,6 +25,8 @@ def vandermonde_matrix(k: int, n: int) -> np.ndarray:
 
     Uses int64 when every entry fits, otherwise exact Python integers.
     """
+    import numpy as np
+
     if k < 0 or n < 0:
         raise ValueError("k and n must be non-negative")
     exact = n > 1 and k * n.bit_length() >= 62
@@ -40,6 +46,8 @@ def encode_incidence(incidence: np.ndarray, k: int) -> tuple[int, ...]:
     Equivalent to ``power_sums(S, k)`` where ``S = {i : x[i-1] = 1}``;
     the equality is asserted by property tests.
     """
+    import numpy as np
+
     x = np.asarray(incidence)
     if x.ndim != 1:
         raise ValueError(f"incidence vector must be 1-D, got shape {x.shape}")

@@ -16,9 +16,10 @@ adversary and reference checkers.  Construction goes through
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported by the three array methods only
+    import numpy as np
 
 __all__ = ["LabeledGraph", "Edge", "normalize_edge"]
 
@@ -95,6 +96,8 @@ class LabeledGraph:
 
         Row/column ``i`` of the matrix corresponds to node ``i + 1``.
         """
+        import numpy as np
+
         a = np.asarray(matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
@@ -241,6 +244,8 @@ class LabeledGraph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """The ``n x n`` 0/1 adjacency matrix (row ``i`` = node ``i + 1``)."""
+        import numpy as np
+
         a = np.zeros((self._n, self._n), dtype=np.int8)
         for u, v in self.edges():
             a[u - 1, v - 1] = 1
@@ -250,6 +255,8 @@ class LabeledGraph:
     def incidence_vector(self, v: int) -> np.ndarray:
         """The paper's incidence vector ``x`` of ``N(v)``: a length-``n``
         0/1 vector with 1 in coordinate ``i - 1`` iff ``v_i in N(v)``."""
+        import numpy as np
+
         self._check_node(v)
         x = np.zeros(self._n, dtype=np.int64)
         for w in self._adj[v]:

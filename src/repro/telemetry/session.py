@@ -57,10 +57,10 @@ def machine_metadata() -> dict:
         "implementation": platform.python_implementation(),
         "cpu_count": counter() or 1,
     }
-    try:
-        import numpy
+    try:  # the installed version, read without importing numpy
+        from importlib.metadata import version
 
-        meta["numpy"] = numpy.__version__
+        meta["numpy"] = version("numpy")
     except Exception:  # noqa: BLE001 - numpy is optional at runtime
         meta["numpy"] = None
     return meta
