@@ -62,7 +62,7 @@ hot paths regress, so CI fails loudly.  The gate never compares CI
 wall-clock against another machine's numbers: it times *seed-style
 reference implementations on the same machine in the same process* —
 the per-update-rehash sketch builder and the replay-from-scratch
-enumerator (still in-tree as the stateful fallback) — and gates on the
+enumerator (still in-tree as the correctness reference) — and gates on the
 measured ratio, so a slow shared runner slows both sides equally.  The
 sketch reference must also reproduce the engine's states exactly, which
 re-checks the bit-identical invariant on every CI run.

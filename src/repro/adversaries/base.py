@@ -6,7 +6,7 @@ dies at ``n ≈ 7`` (``n!`` schedules); the fixed schedulers in
 :mod:`repro.core.schedulers` scale but probe only a handful of points.
 An :class:`AdversarySearch` sits between the two: it *searches* the
 schedule tree — driving one :class:`~repro.core.execution.ExecutionState`
-with ``advance``/``snapshot``/``restore`` — for a concrete **witness**
+with ``advance``/``restore`` — for a concrete **witness**
 schedule that is as bad as it can find: a deadlock if one is reachable,
 otherwise a schedule maximising the largest message written.
 
@@ -285,17 +285,6 @@ class AdversarySearch(ABC):
         its stats.  ``None`` gives the search a fresh private context —
         behaviour is then identical to the pre-kernel strategies.
         """
-
-    def _initial(
-        self,
-        graph: LabeledGraph,
-        protocol: Protocol,
-        model: ModelSpec,
-        bit_budget: Optional[int],
-        faults: Union[None, str, FaultSpec] = None,
-    ) -> ExecutionState:
-        return ExecutionState.initial(graph, protocol, model, bit_budget,
-                                      faults=faults)
 
     def _witness(self, state: ExecutionState, explored: int,
                  best: Optional[Witness] = None) -> Witness:

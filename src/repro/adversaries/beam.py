@@ -14,7 +14,6 @@ from ..faults.spec import FaultSpec, resolve_faults
 from .base import AdversarySearch, Witness, worst_witness
 from .kernel import OutOfBudget, SearchContext, complete_ascending
 from .scoring import ScoreHook, resolve_score
-from .transposition import TranspositionTable
 
 __all__ = ["BeamSearchAdversary"]
 
@@ -32,12 +31,11 @@ class BeamSearchAdversary(AdversarySearch):
     witness directly, so terminal worst cases are never pruned away,
     only unfinished prefixes are.
 
-    For stateless protocols the sorted frontier is **deduplicated by
-    configuration digest** (:meth:`~repro.core.execution.ExecutionState.
-    config_key`) before truncation: two prefixes that digest to the
-    same configuration have identical futures, so keeping the
-    better-sorted one loses nothing and frees a beam slot for a
-    genuinely different prefix.
+    The sorted frontier is **deduplicated by configuration digest**
+    (:meth:`~repro.core.execution.ExecutionState.config_key`) before
+    truncation: two prefixes that digest to the same configuration have
+    identical futures, so keeping the better-sorted one loses nothing
+    and frees a beam slot for a genuinely different prefix.
 
     The first pass ranks deterministically (ties towards the
     lexicographically smaller schedule); every *restart* re-runs the
@@ -112,7 +110,6 @@ class BeamSearchAdversary(AdversarySearch):
                                          faults=faults)
         if initial.terminal:  # 0 writes: deadlock at round 0, or n == 0
             return self._witness(initial, meter.spent)
-        dedupe = initial.stateless
         frontier = [initial]
         while frontier:
             scored = []
@@ -134,11 +131,10 @@ class BeamSearchAdversary(AdversarySearch):
             frontier = []
             seen: set = set()
             for _, state in scored:
-                if dedupe:
-                    key = TranspositionTable.key_for(state)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                key = state.config_key()
+                if key in seen:
+                    continue
+                seen.add(key)
                 frontier.append(state)
                 if len(frontier) >= self.width:
                     break

@@ -184,7 +184,7 @@ class BranchAndBoundAdversary(AdversarySearch):
         if table is not None:
             remaining = state.n - len(state.written) - len(state.crashed)
             if remaining >= self.MIN_TABLE_SUBTREE:
-                key = table.key_for(state)
+                key = state.config_key()
                 entry = table.lookup(key)
                 if entry is not None and entry.exact:
                     self._compose_hit(state, entry.completions)
@@ -197,12 +197,11 @@ class BranchAndBoundAdversary(AdversarySearch):
         elif self._frozen_tail(state):
             # Frozen tail: every completion writes the same multiset and
             # none deadlocks — one ascending completion is exact.
-            checkpoint = state.snapshot()
             depth = state.depth
             written = len(state.board)
             self._complete_ascending(state, limit)
             if table is None:
-                state.restore(checkpoint)
+                state.restore(depth)
                 return ()
             # Board index, not schedule depth: an earlier crash or loss
             # event advanced the schedule without writing an entry.
@@ -213,13 +212,13 @@ class BranchAndBoundAdversary(AdversarySearch):
                 total_bits=sum(suffix_bits),
                 suffix=state.schedule[depth:],
             ),)
-            state.restore(checkpoint)
+            state.restore(depth)
         else:
             candidates = list(state.candidates)
             if rng is not None:
                 rng.shuffle(candidates)
             completions: list[Completion] = []
-            checkpoint = state.snapshot()
+            checkpoint = state.depth
             for choice in candidates:
                 self._advance(state, choice, limit)
                 if table is None:
@@ -243,7 +242,8 @@ class BranchAndBoundAdversary(AdversarySearch):
             if table is None:
                 return ()
             frontier = dominance_frontier(completions)
-        table.record_exact(key, frontier)
+        if key is not None:
+            table.record_exact(key, frontier)
         return frontier
 
     @staticmethod

@@ -24,20 +24,20 @@ class DeadlockAdversary(AdversarySearch):
     active — only possible in the free models (simultaneous models keep
     every unwritten node active, so the search returns immediately with
     a completed run there).  The DFS steers one
-    :class:`~repro.core.execution.ExecutionState` with snapshot/restore
-    and stops at the *first* deadlock found:
+    :class:`~repro.core.execution.ExecutionState` by advance and
+    restore, and stops at the *first* deadlock found:
 
     * children are probed one step ahead and explored in order of fewest
       resulting candidates first — choices that starve future
       activations are tried early, which is what finds deadlocks fast;
     * a probe that lands directly in a corrupted configuration returns
       its witness without recursing;
-    * for stateless protocols, revisited configurations are pruned via
-      the canonical :meth:`~repro.core.execution.ExecutionState.
-      config_key` digest — deadlock reachability is a function of the
-      configuration alone.  (The digest goes through the payload codec,
-      so dict/list payloads memoise exactly like any other; the old
-      ad-hoc key silently disabled the memo on unhashable payloads.)
+    * revisited configurations are pruned via the canonical
+      :meth:`~repro.core.execution.ExecutionState.config_key` digest —
+      deadlock reachability is a function of the configuration alone.
+      (The digest goes through the payload codec, so dict/list payloads
+      memoise exactly like any other; the old ad-hoc key silently
+      disabled the memo on unhashable payloads.)
 
     With a shared-table :class:`~repro.adversaries.kernel.SearchContext`
     the search additionally *exchanges deadlock-reachability facts*:
@@ -107,12 +107,6 @@ class DeadlockAdversary(AdversarySearch):
         complete_ascending(state, self._meter)
         return self._witness(state, self._meter.spent)
 
-    def _key(self, state: ExecutionState):
-        """Memo key: the canonical configuration digest (stateless
-        protocols only — a stateful protocol's future depends on hidden
-        state the digest cannot see)."""
-        return state.config_key() if state.stateless else None
-
     def _fold_pruned(self, state: ExecutionState, choice: int,
                      edge_bits: int, edge_total: int,
                      entry: TableEntry) -> None:
@@ -137,7 +131,7 @@ class DeadlockAdversary(AdversarySearch):
             return None
         table = self._table
         children = []
-        checkpoint = state.snapshot()
+        checkpoint = state.depth
         for choice in state.candidates:
             self._meter.spend()
             state.advance(choice)
@@ -145,7 +139,7 @@ class DeadlockAdversary(AdversarySearch):
                 witness = self._witness(state, self._meter.spent)
                 state.restore(checkpoint)
                 return witness
-            key = self._key(state)
+            key = state.config_key()
             # last_event accounting: a crash or loss probe leaves the
             # board untouched (possibly empty), so the board tail is not
             # the probed edge.
@@ -156,23 +150,21 @@ class DeadlockAdversary(AdversarySearch):
             state.restore(checkpoint)
         for _, choice, key, edge_bits, edge_total in sorted(
                 children, key=lambda c: c[:2]):
-            if key is not None:
-                if key in self._seen:
+            if key in self._seen:
+                continue
+            if table is not None:
+                entry = table.lookup(key)
+                # Prune only subtrees whose exact frontier is known:
+                # folding it keeps the fallback witness at the same
+                # badness rank the full DFS would have reached.  A bare
+                # deadlock-free fact (no completions) is not enough —
+                # skipping on it could lose the worst completion.
+                if (entry is not None and entry.deadlock_free
+                        and entry.exact):
+                    self._fold_pruned(state, choice, edge_bits,
+                                      edge_total, entry)
                     continue
-                if table is not None:
-                    entry = table.lookup(key)
-                    # Prune only subtrees whose exact frontier is known:
-                    # folding it keeps the fallback witness at the same
-                    # badness rank the full DFS would have reached.  A
-                    # bare deadlock-free fact (no completions) is not
-                    # enough — skipping on it could lose the worst
-                    # completion.
-                    if (entry is not None and entry.deadlock_free
-                            and entry.exact):
-                        self._fold_pruned(state, choice, edge_bits,
-                                          edge_total, entry)
-                        continue
-                self._seen.add(key)
+            self._seen.add(key)
             self._meter.spend()
             state.advance(choice)
             found = self._dfs(state)

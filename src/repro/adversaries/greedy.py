@@ -23,7 +23,7 @@ class GreedyBitsAdversary(AdversarySearch):
     """One-step-lookahead descents in both polarities.
 
     At every configuration each candidate is probed with
-    ``snapshot``/``advance``/``restore`` and scored by (does the child
+    ``advance``/``restore`` and scored by (does the child
     deadlock?, the :class:`~repro.adversaries.scoring.ScoreHook` step
     score of the write) — a candidate that corrupts the configuration
     outright is the adversary's jackpot and is taken immediately.  Two
@@ -117,7 +117,7 @@ class GreedyBitsAdversary(AdversarySearch):
         table = ctx.table
         while not state.terminal:
             if table is not None:
-                entry = table.lookup(table.key_for(state))
+                entry = table.lookup(state.config_key())
                 if entry is not None and entry.exact and not entry.warm:
                     # The rest of this descent is already solved exactly.
                     # Warm (frontier-store) entries are skipped: greedy
@@ -135,7 +135,7 @@ class GreedyBitsAdversary(AdversarySearch):
                 continue
             best_choice = None
             best_score = None
-            checkpoint = state.snapshot()
+            checkpoint = state.depth
             for choice in candidates:
                 meter.spend()
                 state.advance(choice)

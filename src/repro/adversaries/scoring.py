@@ -106,7 +106,7 @@ class DecodeFailureScore(ScoreHook):
 
     def _decodes(self, state: ExecutionState) -> bool:
         try:
-            state.proto.output(state.board_view(), state.n)
+            state.protocol.output(state.board_view(), state.n)
         except Exception:
             return False
         return True

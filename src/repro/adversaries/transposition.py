@@ -35,9 +35,9 @@ field-identical witnesses.
 
 A table is scoped to one ``(graph, protocol, model, bit budget)`` cell:
 completion values do not transfer between cells, and :meth:`bind`
-raises if a caller tries.  Only stateless-protocol configurations
-participate (:meth:`key_for` returns ``None`` otherwise) — a stateful
-protocol's future depends on hidden per-run state the key cannot see.
+raises if a caller tries.  Within a cell the configuration digest is
+the whole key: a protocol is a pure function of its view, so equal
+digests have equal futures.
 """
 
 from __future__ import annotations
@@ -249,18 +249,8 @@ class TranspositionTable:
 
     # -- lookups -------------------------------------------------------
 
-    @staticmethod
-    def key_for(state: ExecutionState) -> Optional[tuple]:
-        """The state's table key, or ``None`` when it must not be
-        memoised (stateful protocol: hidden state escapes the digest)."""
-        if not state.stateless:
-            return None
-        return state.config_key()
-
-    def lookup(self, key: Optional[tuple]) -> Optional[TableEntry]:
+    def lookup(self, key: tuple) -> Optional[TableEntry]:
         """The entry for ``key`` (counting a hit), or ``None``."""
-        if key is None:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -270,11 +260,9 @@ class TranspositionTable:
                 self.frontier_hits += 1
         return entry
 
-    def get(self, key: Optional[tuple]) -> Optional[TableEntry]:
+    def get(self, key: tuple) -> Optional[TableEntry]:
         """Like :meth:`lookup` but without touching the counters (for
         bookkeeping reads that should not skew the hit rate)."""
-        if key is None:
-            return None
         return self._entries.get(key)
 
     # -- updates -------------------------------------------------------
@@ -286,16 +274,14 @@ class TranspositionTable:
             self._entries[key] = entry
         return entry
 
-    def record_exact(self, key: Optional[tuple],
-                     completions: Iterable[Completion]) -> Optional[TableEntry]:
+    def record_exact(self, key: tuple,
+                     completions: Iterable[Completion]) -> TableEntry:
         """Store the exact completion frontier of a fully swept subtree.
 
         Idempotent: an entry that is already exact is left untouched
         (the first recording was made in DFS-first order; later sweeps
         in shuffled order must not replace it).
         """
-        if key is None:
-            return None
         entry = self._entry(key)
         if not entry.exact:
             entry.completions = dominance_frontier(completions)
@@ -307,11 +293,9 @@ class TranspositionTable:
             self._dirty.add(key)
         return entry
 
-    def record_deadlock_free(self, key: Optional[tuple]) -> None:
+    def record_deadlock_free(self, key: tuple) -> None:
         """Record the standalone fact that no deadlock is reachable
         (a complete deadlock-DFS exhausted the subtree)."""
-        if key is None:
-            return
         entry = self._entry(key)
         if not entry.deadlock_free:
             entry.deadlock_free = True

@@ -17,8 +17,8 @@ package is the durable layer under every sweep consumer:
   (``repro campaign report``, ``tools/bench_report.py --campaign``).
 
 Architecture rule: the store is the **only** cross-process, cross-run
-shared state, and only the driving process touches it — backends stay
-stateless, which is what keeps every future sharding/distribution
+shared state, and only the driving process touches it — backends hold
+no state of their own, which is what keeps every future sharding/distribution
 backend compatible.
 """
 

@@ -6,7 +6,7 @@ plan mode (``stress`` by default: exhaustive below the threshold, guided
 adversary search above).  :class:`Campaign` lowers every cell to a
 :class:`~repro.runtime.plan.ExecutionPlan`, fingerprints each task, and
 executes **only the store misses** on any
-:class:`~repro.runtime.backends.Backend` — the backend shards stateless
+:class:`~repro.runtime.backends.Backend` — the backend shards self-contained
 tasks exactly as before; the :class:`~repro.campaigns.store.ResultStore`
 is the only shared state, touched only by the driving process through a
 :class:`~repro.runtime.results.StoreBackedSink`.

@@ -27,8 +27,8 @@ class name and rely on the salt (documented invariant, see ROADMAP.md
 "Campaign subsystem").
 
 Concurrency rule: **the store is the only cross-process, cross-run
-authority, and only the driving process touches it.**  Backends stay
-stateless; worker processes never see the SQLite handle.
+authority, and only the driving process touches it.**  Backends hold
+no state of their own; worker processes never see the SQLite handle.
 """
 
 from __future__ import annotations

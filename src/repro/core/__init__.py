@@ -1,7 +1,7 @@
 """The whiteboard machine: models, protocols, adversaries, simulator."""
 
 from .errors import MessageTooLarge, ProtocolViolation, SchedulerError, WhiteboardError
-from .execution import Checkpoint, ExecutionState, replay_schedule
+from .execution import ExecutionState, replay_schedule
 from .models import (
     ALL_MODELS,
     ASYNC,
@@ -34,7 +34,6 @@ __all__ = [
     "ProtocolViolation",
     "SchedulerError",
     "WhiteboardError",
-    "Checkpoint",
     "ExecutionState",
     "replay_schedule",
     "ALL_MODELS",

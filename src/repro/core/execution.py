@@ -17,17 +17,14 @@ into an explicit state machine instead:
   the writer's message (frozen value in asynchronous models, recomputed
   in synchronous ones), charge the bit budget, append to the board, run
   the activation pass;
-* :meth:`ExecutionState.snapshot` / :meth:`ExecutionState.restore` give
-  first-class checkpointing.  For *stateless* protocols (``fresh()``
-  returns ``self``) restore is an O(steps-undone) journal rollback — the
+* :meth:`ExecutionState.restore` rolls back to an ancestor: a
+  checkpoint is nothing but the depth (:attr:`ExecutionState.depth`),
+  and restore is an O(steps-undone) journal rollback — the
   checkpoint/undo DFS that used to be hard-wired into the enumerator.
-  Their checkpoints carry only a depth, so one shared, immutable
-  :class:`Checkpoint` per depth serves every snapshot.  Each journal
-  entry also keeps the candidate pair cached before its event, and
-  undo puts it back: after a rollback the candidate sets are not
-  recomputed.  Stateful protocols (per-run caches the engine cannot
-  snapshot) are restored by replaying the choice prefix from scratch on
-  a fresh protocol instance, which is always correct;
+  Protocols are pure functions of their view, so undoing the
+  configuration undoes everything.  Each journal entry also keeps the
+  candidate pair cached before its event, and undo puts it back: after
+  a rollback the candidate sets are not recomputed;
 * :meth:`ExecutionState.copy` forks an independent state (beam searches
   hold a frontier of them);
 * :meth:`ExecutionState.result` freezes a terminal configuration into a
@@ -52,7 +49,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from copy import deepcopy
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Optional, Union
 
 from ..encoding.bits import payload_bits, payload_key
@@ -63,8 +59,7 @@ from .models import ModelSpec
 from .protocol import NodeView, Protocol
 from .whiteboard import BoardView, Whiteboard
 
-__all__ = ["RunResult", "ExecutionState", "Checkpoint", "replay_schedule",
-           "board_output"]
+__all__ = ["RunResult", "ExecutionState", "replay_schedule", "board_output"]
 
 #: Distinguishes "cache entry was absent" from "cached value was None"
 #: when a crash undo restores a node's frozen-message caches.
@@ -140,32 +135,15 @@ class RunResult:
         )
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """Opaque token returned by :meth:`ExecutionState.snapshot`.
-
-    ``depth`` is the schedule-prefix length; ``choices`` is carried only
-    for stateful protocols, whose restore path replays it from scratch.
-    A checkpoint is valid only for restoring an extension of the state it
-    was taken from (the DFS/backtracking discipline).  Stateless
-    checkpoints are shared: every snapshot at one depth returns the same
-    instance.
-    """
-
-    depth: int
-    choices: Optional[tuple[int, ...]] = None
-
-
 class ExecutionState:
     """One live configuration of the round-based execution engine."""
 
     __slots__ = (
-        "graph", "protocol", "proto", "model", "bit_budget", "stateless",
-        "faults", "board", "written", "active", "crashed", "frozen",
+        "graph", "protocol", "model", "bit_budget", "faults", "board", "written", "active", "crashed", "frozen",
         "frozen_bits", "activation_round", "choices", "crashes_left",
         "losses_left", "dups_left", "last_event_bits", "last_event_total",
         "_journal", "_candidates", "_entry_keys", "_board_views",
-        "_frozen_keys", "_output_memo", "_checkpoints",
+        "_frozen_keys", "_output_memo",
     )
 
     def __init__(self) -> None:  # use ExecutionState.initial(...)
@@ -187,34 +165,9 @@ class ExecutionState:
         self.model = model
         self.bit_budget = bit_budget
         self.faults = resolve_faults(faults)
-        proto = protocol.fresh()
-        self.proto = proto
-        self.stateless = proto is protocol
-        self._checkpoints = _depth_checkpoints(graph.n)
         #: ``(output, output_error)`` per board multiset key; ``None``
         #: until :meth:`memoize_outputs` arms it.
         self._output_memo = None
-        self._reset()
-        return self
-
-    def memoize_outputs(self) -> "ExecutionState":
-        """Decode each distinct board multiset once from now on; returns
-        ``self``.
-
-        For drivers that freeze many leaves of one cell (the exhaustive
-        walkers).  Engages only for stateless protocols that declare
-        ``output_order_invariant``; :meth:`copy` shares the memo.  A
-        one-shot replay is better off without it: digesting a fresh
-        board costs about half a BUILD decode, and nothing would reuse
-        it.
-        """
-        if (self._output_memo is None and self.stateless
-                and self.proto.output_order_invariant):
-            self._output_memo = {}
-        return self
-
-    def _reset(self) -> None:
-        """(Re-)enter the initial configuration on a fresh protocol."""
         self.board = Whiteboard()
         self.written = set()
         self.active = set()
@@ -234,6 +187,22 @@ class ExecutionState:
         self._board_views = [BoardView(())]
         self._frozen_keys = {}
         self._activation_pass(0)
+        return self
+
+    def memoize_outputs(self) -> "ExecutionState":
+        """Decode each distinct board multiset once from now on; returns
+        ``self``.
+
+        For drivers that freeze many leaves of one cell (the exhaustive
+        walkers).  Engages only for protocols that declare
+        ``output_order_invariant``; :meth:`copy` shares the memo.  A
+        one-shot replay is better off without it: digesting a fresh
+        board costs about half a BUILD decode, and nothing would reuse
+        it.
+        """
+        if self._output_memo is None and self.protocol.output_order_invariant:
+            self._output_memo = {}
+        return self
 
     # -- inspection ----------------------------------------------------
 
@@ -335,13 +304,11 @@ class ExecutionState:
         dict/list payloads included — so memoisation never silently
         switches off (the hole the old ``deadlock.py`` ad-hoc key had).
 
-        Two *stateless*-protocol states with equal keys have identical
-        futures under identical adversary choices; for stateful
-        protocols the key digests the observable configuration only
-        (hidden per-run protocol state is not captured), which is why
-        the search kernel's transposition table ignores non-stateless
-        states.  Payload digests are cached per write event, so
-        repeated calls along a search path stay cheap.
+        Two states with equal keys have identical futures under
+        identical adversary choices: a protocol is a pure function of
+        its view, so the configuration is all there is.  Payload
+        digests are cached per write event, so repeated calls along a
+        search path stay cheap.
 
         ``quotient=True`` digests the board as a payload *multiset*
         (:meth:`_board_multiset_key`) instead of in board order.  Two
@@ -371,7 +338,7 @@ class ExecutionState:
                         key = payload_key(self.frozen[v])
                     except TypeError as exc:
                         raise ProtocolViolation(
-                            f"{self.proto.name}: node {v} froze a "
+                            f"{self.protocol.name}: node {v} froze a "
                             f"non-payload message: {exc}"
                         ) from exc
                     frozen_keys[v] = key
@@ -483,7 +450,7 @@ class ExecutionState:
         if model.simultaneous and event:
             return ()  # everyone activated in round 0
         added: list[int] = []
-        proto = self.proto
+        proto = self.protocol
         active, written = self.active, self.written
         crashed = self.crashed
         for v in self.graph.nodes():
@@ -510,7 +477,7 @@ class ExecutionState:
             bits = payload_bits(payload)
         except TypeError as exc:
             raise ProtocolViolation(
-                f"{self.proto.name}: node {writer} produced a non-payload "
+                f"{self.protocol.name}: node {writer} produced a non-payload "
                 f"message: {exc}"
             ) from exc
         if self.model.asynchronous:
@@ -536,7 +503,7 @@ class ExecutionState:
         if self.model.asynchronous:
             payload = self.frozen[choice]
         else:
-            payload = self._own_payload(self.proto.message(self._view_of(choice)))
+            payload = self._own_payload(self.protocol.message(self._view_of(choice)))
         bits = self._message_bits(choice, payload)
         if self.bit_budget is not None and bits > self.bit_budget:
             raise MessageTooLarge(choice, bits, self.bit_budget)
@@ -557,7 +524,7 @@ class ExecutionState:
         if self.model.asynchronous:
             payload = self.frozen[node]
         else:
-            payload = self._own_payload(self.proto.message(self._view_of(node)))
+            payload = self._own_payload(self.protocol.message(self._view_of(node)))
         bits = self._message_bits(node, payload)
         if self.bit_budget is not None and bits > self.bit_budget:
             raise MessageTooLarge(node, bits, self.bit_budget)
@@ -565,8 +532,8 @@ class ExecutionState:
 
     def _advance_fault(self, choice: int) -> "ExecutionState":
         """Apply one fault event; the fault-kind journal entries make
-        the undo path exact, so snapshot/restore and ``config_key()``
-        keep working unchanged under faults."""
+        the undo path exact, so restore and ``config_key()`` keep
+        working unchanged under faults."""
         kind, node = decode_choice(choice, self.graph.n)
         pair = self._candidates  # cached by advance's candidate check
         if kind == "crash":
@@ -622,42 +589,21 @@ class ExecutionState:
 
     # -- checkpointing -------------------------------------------------
 
-    def snapshot(self) -> Checkpoint:
-        """Checkpoint the current configuration.
+    def restore(self, depth: int) -> "ExecutionState":
+        """Roll back to the ancestor at schedule depth ``depth`` (a
+        checkpoint is the :attr:`depth` read before descending).
 
-        For stateless protocols a checkpoint is nothing but its depth,
-        so every state hands out the one shared, immutable
-        :class:`Checkpoint` of that depth (O(1), no allocation).
-        Stateful protocols get a fresh checkpoint recording the choice
-        prefix.
+        Undoes the journal step by step; each undone event puts back
+        the candidate pair cached before it, so the next
+        :attr:`candidates` read after a rollback costs nothing.
         """
-        if self.stateless:
-            return self._checkpoints[len(self.choices)]
-        return Checkpoint(len(self.choices), tuple(self.choices))
-
-    def restore(self, checkpoint: Checkpoint) -> "ExecutionState":
-        """Roll back to ``checkpoint`` (an ancestor of this state).
-
-        Stateless protocols undo the journal step by step; each undone
-        event puts back the candidate pair cached before it, so the
-        next :attr:`candidates` read after a rollback costs nothing.
-        Stateful ones replay the checkpointed prefix on a fresh protocol
-        instance.
-        """
-        if checkpoint.depth > len(self.choices):
+        if depth > len(self.choices):
             raise ValueError(
-                f"checkpoint depth {checkpoint.depth} is not an ancestor of "
-                f"the current depth {len(self.choices)}"
+                f"checkpoint depth {depth} is not an ancestor of the "
+                f"current depth {len(self.choices)}"
             )
-        if self.stateless:
-            while len(self.choices) > checkpoint.depth:
-                self._undo_one()
-        else:
-            prefix = checkpoint.choices or ()
-            self.proto = self.protocol.fresh()
-            self._reset()
-            for choice in prefix:
-                self.advance(choice)
+        while len(self.choices) > depth:
+            self._undo_one()
         return self
 
     def _undo_one(self) -> None:
@@ -707,27 +653,14 @@ class ExecutionState:
         self.active.add(node)
 
     def copy(self) -> "ExecutionState":
-        """An independent fork of this configuration.
-
-        Stateless protocols share the protocol object and copy the cheap
-        containers; stateful ones replay the schedule from scratch.
-        """
-        if not self.stateless:
-            clone = ExecutionState.initial(
-                self.graph, self.protocol, self.model, self.bit_budget,
-                faults=self.faults,
-            )
-            for choice in self.choices:
-                clone.advance(choice)
-            return clone
+        """An independent fork of this configuration: it shares the
+        protocol object and copies the cheap containers."""
         clone = object.__new__(ExecutionState)
         clone.graph = self.graph
         clone.protocol = self.protocol
-        clone.proto = self.proto
         clone.model = self.model
         clone.bit_budget = self.bit_budget
         clone.faults = self.faults
-        clone.stateless = True
         clone.board = Whiteboard(entries=list(self.board.entries))
         clone.written = set(self.written)
         clone.active = set(self.active)
@@ -747,7 +680,6 @@ class ExecutionState:
         clone._board_views = list(self._board_views)
         clone._frozen_keys = dict(self._frozen_keys)
         clone._output_memo = self._output_memo
-        clone._checkpoints = self._checkpoints
         return clone
 
     # -- results -------------------------------------------------------
@@ -769,7 +701,7 @@ class ExecutionState:
         if success:
             memo = self._output_memo
             output, output_error = board_output(
-                self.proto, (e.payload for e in self.board.entries),
+                self.protocol, (e.payload for e in self.board.entries),
                 self.graph.n, self.faults.enabled, memo,
                 self._board_multiset_key() if memo is not None else None,
             )
@@ -784,20 +716,12 @@ class ExecutionState:
             max_message_bits=max(bits, default=0),
             total_bits=sum(bits),
             model=self.model,
-            protocol_name=self.proto.name,
+            protocol_name=self.protocol.name,
             n=self.graph.n,
             schedule=tuple(self.choices),
             crashed=frozenset(self.crashed),
             output_error=output_error,
         )
-
-
-@lru_cache(maxsize=None)
-def _depth_checkpoints(n: int) -> tuple[Checkpoint, ...]:
-    """The shared stateless checkpoints of an ``n``-node execution, one
-    per depth.  Every schedule event terminates one node, so no schedule
-    is longer than ``n``."""
-    return tuple(Checkpoint(depth) for depth in range(n + 1))
 
 
 def board_output(

@@ -13,9 +13,10 @@ plus one global ``out`` function evaluated on the final whiteboard.
 
 Every function sees only the paper-legal inputs, bundled in a
 :class:`NodeView`: the node's identifier, its neighbours' identifiers,
-``n``, and the whiteboard payloads.  Protocols must not carry hidden
-per-run mutable state unless they override :meth:`Protocol.fresh` to
-return a clean instance per execution (the hierarchy adapters do).
+``n``, and the whiteboard payloads.  A protocol is a pure function of
+that view: it carries no per-run mutable state, because one protocol
+object serves every branch of a walk — the engine forks and rolls back
+configurations, never protocols.
 
 A protocol that derives its decisions from a parse of the whole board
 can read it through :meth:`BoardView.fold
@@ -86,13 +87,11 @@ class Protocol(ABC):
     checks each terminal configuration once.  A seeded guard replays a
     few random schedules per fold and raises
     :class:`~repro.core.errors.ProtocolViolation` when one disagrees.
-    The declaration is a contract with three parts:
+    The declaration is a contract with two parts:
 
     * ``output(board, n)`` (its value, or the exception it raises) is a
       function of ``n`` and the payload multiset alone, including on
       fault-perturbed boards with an entry missing or duplicated;
-    * the protocol is stateless (``fresh()`` returns ``self``) — the
-      engine ignores the flag otherwise;
     * outputs are immutable, because one output object is shared by
       every run that produced the same multiset.
     """
@@ -109,14 +108,6 @@ class Protocol(ABC):
     #: property like :attr:`designed_for`, set by the class, never by a
     #: caller.
     output_order_invariant: bool = False
-
-    def fresh(self) -> "Protocol":
-        """Return an instance safe to use for one execution.
-
-        Stateless protocols (the default) return ``self``; stateful ones
-        (e.g. freeze adapters) must return a new object.
-        """
-        return self
 
     def wants_to_activate(self, view: NodeView) -> bool:
         """Free-model activation decision for an awake node.

@@ -106,7 +106,6 @@ def replay(
     ReplayError
         If the order names an inactive/written node, or repeats a node.
     """
-    proto = protocol.fresh()
     n = graph.n
     states = [NodeState.AWAKE] * (n + 1)  # index 0 unused
     memories: list[Optional[Payload]] = [_EPSILON] * (n + 1)
@@ -131,13 +130,13 @@ def replay(
             if model.simultaneous:
                 should = not board  # act(v, N, ∅, awake) = active
             else:
-                should = bool(proto.wants_to_activate(view_of(v)))
+                should = bool(protocol.wants_to_activate(view_of(v)))
             decisions.append((v, should))
         for v, should in decisions:
             if should:
                 states[v] = NodeState.ACTIVE
                 # Narrative semantics: memory created at activation.
-                memories[v] = proto.message(view_of(v))
+                memories[v] = protocol.message(view_of(v))
 
     configs.append(snapshot())  # C_0
     activation_round()
@@ -154,7 +153,7 @@ def replay(
             payload = memories[writer]
         else:
             # Synchronous right to change one's mind: recompute now.
-            payload = proto.message(view_of(writer))
+            payload = protocol.message(view_of(writer))
             memories[writer] = payload
         board.append(payload)
         written.add(writer)

@@ -22,14 +22,13 @@ module is its classic drivers:
 * :func:`run` walks one schedule chosen live by a
   :class:`~repro.core.schedulers.Scheduler`;
 * :func:`terminal_states` is the one depth-first walker of the schedule
-  tree: an explicit stack of ``(checkpoint, remaining choices)`` frames
+  tree: an explicit stack of ``(depth, remaining choices)`` frames
   steers a single live state through every terminal configuration
-  below it, ascending choice order at every branch.  Each branch takes
-  a :meth:`~repro.core.execution.ExecutionState.snapshot`, applies one
-  choice and, before the next sibling, restores — for stateless
-  protocols (the default) that is O(1) checkpoint/undo, so every edge
-  of the tree is executed exactly once; stateful protocol adapters are
-  restored by replay, which is always correct;
+  below it, ascending choice order at every branch.  Each branch
+  applies one choice and, before the next sibling, rolls back to the
+  frame's depth with
+  :meth:`~repro.core.execution.ExecutionState.restore` — an O(1)
+  journal undo, so every edge of the tree is executed exactly once;
 * :func:`all_executions` turns that walk into one :class:`RunResult`
   per schedule — the paper's "for all adversaries" quantifier as a
   finite check on small graphs.  Exhaustive plan cells run it (and the
@@ -112,7 +111,7 @@ def terminal_states(state: ExecutionState) -> Iterator[ExecutionState]:
     if state.terminal:
         yield state
         return
-    entry = state.snapshot()
+    entry = state.depth
     frames = [(entry, iter(state.candidates))]
     while frames:
         checkpoint, choices = frames[-1]
@@ -120,14 +119,14 @@ def terminal_states(state: ExecutionState) -> Iterator[ExecutionState]:
         if choice is None:
             frames.pop()
             continue
-        if state.depth != checkpoint.depth:
+        if state.depth != checkpoint:
             state.restore(checkpoint)
         state.advance(choice)
         if state.terminal:
             yield state
         else:
-            frames.append((state.snapshot(), iter(state.candidates)))
-    if state.depth != entry.depth:
+            frames.append((state.depth, iter(state.candidates)))
+    if state.depth != entry:
         state.restore(entry)
 
 
@@ -150,10 +149,10 @@ def all_executions(
     through the whole tree by :func:`terminal_states`, the explicit-stack
     walker, and frozen into a :class:`RunResult` at each leaf as the
     caller asks for it — nothing is held back, so a consumer that folds
-    results as they stream keeps one run alive at a time.  Stateless
-    protocols (``fresh()`` returns ``self``) undo in O(1) per backtrack,
-    stateful ones restore by replay.  Both produce the same results in
-    the same order (pinned against ``_all_executions_replay`` by tests).
+    results as they stream keeps one run alive at a time.  Each
+    backtrack is an O(1) journal undo, and the walk produces the same
+    results in the same order as ``_all_executions_replay`` (pinned by
+    tests).
     Protocols declaring ``output_order_invariant`` decode each distinct
     board multiset once (see :func:`~repro.core.execution.board_output`).
 

@@ -13,9 +13,13 @@ transforming protocols; this module is those transformations:
   *every* adversary, including this one.  Costs ``log n`` extra bits (an
   explicit sender tag).
 * ASYNC → SYNC (:class:`FreezeAtActivation`): a synchronous node *may*
-  recompute its message but is never obliged to; the adapter caches the
-  message computed at activation, making the asynchronous behaviour a
-  special case of the synchronous one.
+  recompute its message but is never obliged to; the adapter answers
+  with the message of the board prefix the node activated on, making
+  the asynchronous behaviour a special case of the synchronous one.
+
+Both adapters are pure functions of the node's view, like every
+protocol: the activation prefix is recomputed from the board, not
+remembered.
 
 :func:`lift` dispatches on the (designed-for, target) pair.
 """
@@ -44,12 +48,9 @@ class SequentialLift(Protocol):
     """
 
     def __init__(self, inner: Protocol) -> None:
-        self.inner = inner.fresh()
+        self.inner = inner
         self.name = f"seq-lift({inner.name})"
         self.designed_for = "ASYNC"
-
-    def fresh(self) -> "SequentialLift":
-        return SequentialLift(self.inner)
 
     @staticmethod
     def _writers(board: BoardView) -> set[int]:
@@ -74,39 +75,42 @@ class SequentialLift(Protocol):
 
 
 class FreezeAtActivation(Protocol):
-    """Run an ASYNC-designed protocol under SYNC semantics by caching the
-    message computed when the node activates (Lemma 4's
+    """Run an ASYNC-designed protocol under SYNC semantics by writing the
+    message of the board the node activated on (Lemma 4's
     ``ASYNC ⊆ SYNC``: synchronous nodes simply decline to change their
     minds).
 
-    Stateful per execution — :meth:`fresh` returns a clean instance.
+    The engine offers a waiting node every board the execution passes
+    through, and the node activates on the first one its inner
+    ``wants_to_activate`` accepts.  :meth:`message` finds that board
+    again by scanning the prefixes of the current board, shortest
+    first.  A duplicated write is the one exception: the engine never
+    offers the prefix that holds only the first copy, and the scan
+    does, so a protocol that activates on that prefix alone freezes
+    one entry earlier than it would under ASYNC.  The BFS protocols
+    decide alike on both boards.
     """
 
     def __init__(self, inner: Protocol) -> None:
-        self.inner = inner.fresh()
+        self.inner = inner
         self.name = f"freeze({inner.name})"
         self.designed_for = "SYNC"
-        self._cache: dict[int, Payload] = {}
-
-    def fresh(self) -> "FreezeAtActivation":
-        return FreezeAtActivation(self.inner)
 
     def wants_to_activate(self, view: NodeView) -> bool:
-        if self.inner.wants_to_activate(view):
-            # Freeze now: this is the board the node activated on.
-            if view.node not in self._cache:
-                self._cache[view.node] = self.inner.message(view)
-            return True
-        return False
+        return self.inner.wants_to_activate(view)
 
     def message(self, view: NodeView) -> Payload:
-        if view.node in self._cache:
-            return self._cache[view.node]
-        # Simultaneous target models activate everyone without consulting
-        # wants_to_activate; freeze on first call instead.
-        payload = self.inner.message(view)
-        self._cache[view.node] = payload
-        return payload
+        # Prefixes are built with ``extended``, so a fold memoized on one
+        # prefix carries over to the next.  With no proper prefix
+        # accepted the node answers on the full board.
+        inner = self.inner
+        prefix = BoardView(())
+        for payload in view.board:
+            here = NodeView(view.node, view.neighbors, view.n, prefix)
+            if inner.wants_to_activate(here):
+                return inner.message(here)
+            prefix = prefix.extended(payload)
+        return inner.message(view)
 
     def output(self, board: BoardView, n: int) -> Any:
         return self.inner.output(board, n)

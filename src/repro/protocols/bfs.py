@@ -146,13 +146,6 @@ class BoardState:
     def current(self) -> Optional[_Epoch]:
         return self.epochs[-1] if self.epochs else None
 
-    def record_of(self, node: int) -> Optional[BfsRecord]:
-        for epoch in self.epochs:
-            for r in epoch.records:
-                if r.node == node:
-                    return r
-        return None
-
 
 #: The parse of the empty board.
 EMPTY = BoardState((), frozenset(), False)

@@ -307,7 +307,7 @@ class SketchDecodeScore(ScoreHook):
 
     def _badness(self, state) -> int:
         try:
-            out = state.proto.output(state.board_view(), state.n)
+            out = state.protocol.output(state.board_view(), state.n)
         except Exception:
             # Partial prefixes cannot decode yet; only a terminal board
             # the decoder rejects (lost/crashed writers) is the jackpot.

@@ -147,10 +147,9 @@ def simasync_multiset_capacity(n: int, bits: int) -> int:
 def simasync_messages(protocol: Protocol, graph: LabeledGraph) -> tuple:
     """The (local-view-only) messages a SIMASYNC protocol produces on a
     graph, as a tuple indexed by node."""
-    proto = protocol.fresh()
     empty = BoardView(())
     return tuple(
-        proto.message(NodeView(v, graph.neighbors(v), graph.n, empty))
+        protocol.message(NodeView(v, graph.neighbors(v), graph.n, empty))
         for v in graph.nodes()
     )
 

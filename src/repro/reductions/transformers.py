@@ -70,7 +70,7 @@ class TriangleToBuildProtocol(Protocol):
         self.name = "reduction-triangle->build"
 
     def message(self, view: NodeView) -> Payload:
-        inner = self.factory(view.n + 1).fresh()
+        inner = self.factory(view.n + 1)
         apex = view.n + 1
         without = inner.message(
             NodeView(view.node, view.neighbors, view.n + 1, _EMPTY)
@@ -81,7 +81,7 @@ class TriangleToBuildProtocol(Protocol):
         return (view.node, without, with_apex)
 
     def output(self, board: BoardView, n: int) -> LabeledGraph:
-        inner = self.factory(n + 1).fresh()
+        inner = self.factory(n + 1)
         apex = n + 1
         pairs: dict[int, tuple[Payload, Payload]] = {}
         for node, without, with_apex in board:
@@ -126,7 +126,7 @@ class MisToBuildProtocol(Protocol):
 
     def message(self, view: NodeView) -> Payload:
         x = view.n + 1
-        inner = self.factory(view.n + 1, x).fresh()
+        inner = self.factory(view.n + 1, x)
         # m_k: x is NOT adjacent to me (I am one of {v_i, v_j}).
         non_adjacent = inner.message(
             NodeView(view.node, view.neighbors, view.n + 1, _EMPTY)
@@ -139,7 +139,7 @@ class MisToBuildProtocol(Protocol):
 
     def output(self, board: BoardView, n: int) -> LabeledGraph:
         x = n + 1
-        inner = self.factory(n + 1, x).fresh()
+        inner = self.factory(n + 1, x)
         pairs: dict[int, tuple[Payload, Payload]] = {}
         for node, non_adjacent, adjacent in board:
             pairs[node] = (non_adjacent, adjacent)
@@ -227,7 +227,7 @@ class EobBfsToBuildScheme:
         n = base.n
         if not eob_gadget_base_ok(base, n):
             raise ValueError("base violates the Theorem 8 preconditions")
-        proto = self.factory().fresh()
+        proto = self.factory()
         big_n = 2 * n - 1
         transcript: list[Payload] = []
         for j in range(2, n + 1):
@@ -239,7 +239,7 @@ class EobBfsToBuildScheme:
     def _full_board(self, code: tuple[Payload, ...], n: int, i: int) -> BoardView:
         """Extend the code word to the complete fixed-order transcript of
         ``A`` on ``G_i`` (auxiliaries ``v_{n+1}..v_{2n-1}``, then ``v_1``)."""
-        proto = self.factory().fresh()
+        proto = self.factory()
         big_n = 2 * n - 1
         transcript = list(code)
         for a in range(n + 1, 2 * n):
@@ -255,7 +255,7 @@ class EobBfsToBuildScheme:
 
     def decode(self, code: tuple[Payload, ...], n: int) -> LabeledGraph:
         """Reconstruct the base graph from the code word."""
-        proto = self.factory().fresh()
+        proto = self.factory()
         big_n = 2 * n - 1
         edges: list[Edge] = []
         for i in range(3, n + 1, 2):

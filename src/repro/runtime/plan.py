@@ -298,7 +298,6 @@ class ExecutionTask:
             state = ExecutionState.initial(
                 self.graph, self.protocol, self.model, self.bit_budget,
                 faults=self.faults).memoize_outputs()
-            root = state.snapshot()
         partials = {}
         for prefix in prefixes:
             report: Optional[VerificationReport] = None
@@ -311,8 +310,7 @@ class ExecutionTask:
                 worst, first_deadlock = dag.fold_below(prefix, report)
                 work = (dag.configurations - before[0], dag.edges - before[1])
             else:
-                if state.depth != root.depth:
-                    state.restore(root)
+                state.restore(0)
                 for choice in prefix:
                     state.advance(choice)
                 worst, first_deadlock = self._fold_results(

@@ -63,8 +63,8 @@ def ineligible(task) -> Optional[str]:
     ``None`` when it qualifies.
 
     The fold needs a full exhaustive enumeration folded only into a
-    report (no kept runs, a checker), a SIMASYNC model, and a stateless
-    protocol whose output reads only the payload multiset.
+    report (no kept runs, a checker), a SIMASYNC model, and a protocol
+    whose output reads only the payload multiset.
     """
     if task.mode != "exhaustive":
         return "mode"
@@ -75,8 +75,6 @@ def ineligible(task) -> Optional[str]:
     model = task.model
     if not (model.simultaneous and model.asynchronous):
         return "model"
-    if task.protocol.fresh() is not task.protocol:
-        return "stateful"
     if not task.protocol.output_order_invariant:
         return "order-variant"
     return None
@@ -110,7 +108,6 @@ class QuotientFold:
         self.state = ExecutionState.initial(
             task.graph, task.protocol, task.model, task.bit_budget,
             faults=task.faults).memoize_outputs()
-        self.entry = self.state.snapshot()
         self.memo: dict = {}
         self.edges = 0
 
@@ -127,8 +124,7 @@ class QuotientFold:
         witnesses)."""
         task = self.task
         state = self.state
-        if state.depth != self.entry.depth:
-            state.restore(self.entry)
+        state.restore(0)
         for choice in prefix:
             state.advance(choice)
         root = self._fold(state)
@@ -161,7 +157,7 @@ class QuotientFold:
         if state.terminal:
             node = self._terminal(state)
         else:
-            checkpoint = state.snapshot()
+            checkpoint = state.depth
             edges = []
             for choice in state.candidates:
                 state.advance(choice)

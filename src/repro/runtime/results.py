@@ -207,8 +207,8 @@ class StoreBackedSink(ResultSink):
     the task's fingerprint.  Because the write happens inside ``add`` —
     i.e. in the driving process, in task order, as outcomes stream out
     of the backend — a killed sweep leaves every already-yielded outcome
-    durable, which is what makes campaigns resumable.  Backends stay
-    stateless: the store is only ever touched here.
+    durable, which is what makes campaigns resumable.  Backends hold
+    no state of their own: the store is only ever touched here.
     """
 
     def __init__(self, store: Any, fingerprints: "dict[int, str]",

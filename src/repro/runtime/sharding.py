@@ -86,7 +86,7 @@ def expand_enumeration_units(
                 units.append(("prefix", state.schedule))
                 return
             for choice in state.candidates:
-                checkpoint = state.snapshot()
+                checkpoint = state.depth
                 state.advance(choice)
                 walk(remaining - 1)
                 state.restore(checkpoint)

@@ -21,7 +21,6 @@ lazily inside functions, so every layer can import it cycle-free.
 from .collect import NULL_COLLECTION, TaskCollection
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_metric_summaries,
@@ -86,7 +85,6 @@ __all__ = [
     "observe_table",
     "watching_tables",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_metric_summaries",

@@ -1,4 +1,4 @@
-"""Counters, gauges and histograms for the run-telemetry subsystem.
+"""Counters and histograms for the run-telemetry subsystem.
 
 A :class:`MetricsRegistry` is a name-addressed bag of metrics owned by
 one :class:`~repro.telemetry.tracer.Tracer`.  Metrics are observation
@@ -16,7 +16,6 @@ from typing import Any, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_metric_summaries",
@@ -36,21 +35,6 @@ class Counter:
 
     def to_jsonable(self) -> dict:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """Last-written value (e.g. the width a frontier ended at)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Optional[float] = None
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def to_jsonable(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -111,7 +95,7 @@ class Histogram:
 class MetricsRegistry:
     """Name-addressed metric set; one per tracer.
 
-    ``counter``/``gauge``/``histogram`` create on first use and
+    ``counter``/``histogram`` create on first use and
     type-check on every later one, so a name can never silently change
     meaning mid-run.
     """
@@ -132,9 +116,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._named(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._named(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._named(name, Histogram)
@@ -159,10 +140,10 @@ def merge_metric_summaries(into: dict, new: dict) -> dict:
     """Fold one jsonable metric summary into an accumulator in place
     (both shaped like :meth:`MetricsRegistry.to_jsonable` output).
 
-    Counters sum; gauges keep the last non-``None`` value; histograms
-    combine count/total/min/max exactly and drop percentiles (a merged
-    percentile would be a lie).  The run session uses this to aggregate
-    per-task metric summaries into the manifest.
+    Counters sum; histograms combine count/total/min/max exactly and
+    drop percentiles (a merged percentile would be a lie).  The run
+    session uses this to aggregate per-task metric summaries into the
+    manifest.
     """
     for name, summary in new.items():
         have = into.get(name)
@@ -177,9 +158,6 @@ def merge_metric_summaries(into: dict, new: dict) -> dict:
         kind = summary.get("type")
         if kind == "counter":
             have["value"] += summary["value"]
-        elif kind == "gauge":
-            if summary["value"] is not None:
-                have["value"] = summary["value"]
         else:
             have["count"] += summary["count"]
             have["total"] += summary["total"]

@@ -75,11 +75,6 @@ def _check_metrics(payload: Any, where: str) -> None:
         kind = summary["type"]
         if kind == "counter":
             _require(summary, f"{where} metric {name!r}", value=NUM)
-        elif kind == "gauge":
-            if "value" not in summary:
-                raise TraceSchemaError(
-                    f"{where}: gauge {name!r} missing 'value'"
-                )
         elif kind == "histogram":
             _require(summary, f"{where} metric {name!r}", count=int,
                      total=NUM)

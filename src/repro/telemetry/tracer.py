@@ -184,9 +184,6 @@ class Tracer:
     def observe(self, name: str, value) -> None:
         self.metrics.histogram(name).observe(value)
 
-    def gauge(self, name: str, value) -> None:
-        self.metrics.gauge(name).set(value)
-
     def finish(self) -> "TaskTelemetry":
         """Freeze everything collected into a picklable payload."""
         return TaskTelemetry(

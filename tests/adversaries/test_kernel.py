@@ -119,7 +119,7 @@ class TestConfigKey:
         g = gen.path_graph(4)
         state = ExecutionState.initial(g, EchoProtocol(), SIMSYNC)
         initial_key = state.config_key()
-        checkpoint = state.snapshot()
+        checkpoint = state.depth
         state.advance(state.candidates[0])
         assert state.config_key() != initial_key
         state.restore(checkpoint)
@@ -170,9 +170,6 @@ class TestConfigKey:
 
             def __init__(self):
                 self.acc = []
-
-            def fresh(self):
-                return Mutator()
 
             def message(self, view):
                 self.acc.append(view.node)
@@ -258,14 +255,6 @@ class TestTableSemantics:
         with pytest.raises(ValueError):
             table.bind(g, DegenerateBuildProtocol(3), SIMSYNC, None)
 
-    def test_stateful_states_are_never_memoised(self):
-        from repro.hierarchy.adapters import FreezeAtActivation
-
-        g = gen.path_graph(4)
-        state = ExecutionState.initial(
-            g, FreezeAtActivation(EchoProtocol()), SYNC)
-        assert TranspositionTable.key_for(state) is None
-
     def test_exact_recording_is_idempotent(self):
         table = TranspositionTable()
         first = (Completion(False, 7, 7, (1,)),)
@@ -314,9 +303,9 @@ class TestTableSemantics:
 
         def walk(state):
             nonlocal checked
-            entry = table.get(table.key_for(state))
+            entry = table.get(state.config_key())
             for completion in entry.completions if entry else ():
-                checkpoint = state.snapshot()
+                checkpoint = state.depth
                 start = len(state.board)
                 for choice in completion.suffix:
                     state.advance(choice)
@@ -326,7 +315,7 @@ class TestTableSemantics:
                 checked += 1
                 state.restore(checkpoint)
             for choice in () if state.terminal else state.candidates:
-                checkpoint = state.snapshot()
+                checkpoint = state.depth
                 state.advance(choice)
                 walk(state)
                 state.restore(checkpoint)

@@ -276,7 +276,7 @@ class TestBranchAndBoundExact:
                 not any(c.deadlock for c in kept))
         root = ExecutionState.initial(graph, proto, model,
                                       faults=resolve_faults(faults))
-        frontier = table.get(table.key_for(root)).completions
+        frontier = table.get(root.config_key()).completions
         best = max(frontier, key=lambda c: (c.deadlock, c.max_bits,
                                             c.total_bits))
         assert (best.deadlock, best.max_bits, best.total_bits) == (

@@ -110,11 +110,11 @@ class TestStepMachine:
         with pytest.raises(MessageTooLarge):
             state.advance(1)
 
-    @pytest.mark.parametrize("stateful", [False, True],
-                             ids=["stateless", "stateful"])
+    @pytest.mark.parametrize("adapted", [False, True],
+                             ids=["plain", "sync-adapter"])
     @pytest.mark.parametrize("faults", FAULT_BUDGETS, ids=str)
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
-    def test_snapshot_restore_round_trip(self, model, faults, stateful):
+    def test_snapshot_restore_round_trip(self, model, faults, adapted):
         """Nested restores land on the configuration a fresh replay of
         the same prefix builds — candidate sets (which an undo puts back
         from the journal) and config key included.
@@ -127,7 +127,7 @@ class TestStepMachine:
         from repro.hierarchy.adapters import FreezeAtActivation
 
         g = random_graph(5, 0.5, seed=2)
-        proto = (FreezeAtActivation(EchoProtocol()) if stateful
+        proto = (FreezeAtActivation(EchoProtocol()) if adapted
                  else EchoProtocol())
 
         def replayed(schedule):
@@ -137,10 +137,9 @@ class TestStepMachine:
             return fingerprint(fresh)
 
         state = ExecutionState.initial(g, proto, model, faults=faults)
-        assert state.stateless is not stateful
         path = []
         while not state.terminal:
-            path.append((state.snapshot(), fingerprint(state)))
+            path.append((state.depth, fingerprint(state)))
             state.advance(state.candidates[-1])
         assert len(path) >= 3
         for checkpoint, before in reversed(path):
@@ -155,12 +154,9 @@ class TestStepMachine:
     def test_restore_rejects_descendant_checkpoint(self):
         state = ExecutionState.initial(path_graph(3), EchoProtocol(), SIMSYNC)
         state.advance(1)
-        deeper = state.snapshot()
-        state.restore(state.snapshot())  # no-op restore is fine
-        root = ExecutionState.initial(
-            path_graph(3), EchoProtocol(), SIMSYNC
-        ).snapshot()
-        state.restore(root)  # rewind to depth 0
+        deeper = state.depth
+        state.restore(state.depth)  # no-op restore is fine
+        state.restore(0)  # rewind to the root
         with pytest.raises(ValueError):
             state.restore(deeper)  # cannot restore forward
 
@@ -181,9 +177,8 @@ class TestStepMachine:
         g = path_graph(3)
         lifted = FreezeAtActivation(EchoProtocol())
         state = ExecutionState.initial(g, lifted, SYNC)
-        assert not state.stateless
         state.advance(1)
-        checkpoint = state.snapshot()
+        checkpoint = state.depth
         state.advance(2)
         state.restore(checkpoint)
         assert state.schedule == (1,)

@@ -1,9 +1,8 @@
 """The per-cell output memo: engaged exactly where it may be, invisible.
 
 Protocols declaring ``output_order_invariant`` have their output
-decoded once per distinct board multiset in a cell; every other
-protocol — unflagged, or stateful (``fresh()`` returns a new object) —
-is decoded once per leaf, as before.  The first half of this module
+decoded once per distinct board multiset in a cell; an unflagged
+protocol is decoded once per leaf, as before.  The first half of this module
 counts ``output`` calls, so a memo that silently switched off (or on)
 shows up as a wrong count; the second half pins that reports and runs
 stay field-identical to the naive ``_all_executions_replay`` reference
@@ -52,17 +51,6 @@ class UnflaggedDecode(CountingDecode):
     output_order_invariant = False
 
 
-class FreshEachRun(CountingDecode):
-    """A stateful adapter: a new object per execution, one call log."""
-
-    name = "fresh-each-run"
-
-    def fresh(self) -> "FreshEachRun":
-        clone = FreshEachRun()
-        clone.calls = self.calls
-        return clone
-
-
 class OrderedOutput(Protocol):
     """Unflagged and order-dependent: a wrongly engaged memo would hand
     every schedule the first schedule's output."""
@@ -92,7 +80,7 @@ class TestEngagement:
         assert len(proto.calls) == len(_multisets(results))
         assert len(proto.calls) < sum(r.success for r in results)
 
-    @pytest.mark.parametrize("cls", [UnflaggedDecode, FreshEachRun])
+    @pytest.mark.parametrize("cls", [UnflaggedDecode])
     def test_unflagged_and_stateful_decode_every_leaf(self, faults, cls):
         proto = cls()
         results = list(all_executions(GRAPH, proto, SIMASYNC, faults=faults))

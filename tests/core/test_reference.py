@@ -24,7 +24,7 @@ from repro.protocols.two_cliques import TwoCliquesProtocol
 
 def _check(graph, protocol, model, scheduler):
     result = run(graph, protocol, model, scheduler)
-    violations = validate_run(graph, protocol.fresh(), model, result)
+    violations = validate_run(graph, protocol, model, result)
     assert not violations, violations
     return result
 

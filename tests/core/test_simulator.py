@@ -245,7 +245,6 @@ class TestIncrementalMatchesReplay:
 
         g = path_graph(4)
         proto = proto_cls()
-        assert proto.fresh() is proto  # all three take the incremental path
         fast = [self._fingerprint(r) for r in all_executions(g, proto, model)]
         slow = [
             self._fingerprint(r)
@@ -264,15 +263,6 @@ class TestIncrementalMatchesReplay:
         ]
         assert fast == slow
         assert fast and not fast[0][0]  # the lone execution deadlocks
-
-    def test_stateful_protocols_take_the_replay_path(self):
-        from repro.hierarchy.adapters import FreezeAtActivation
-
-        g = path_graph(3)
-        lifted = FreezeAtActivation(EchoProtocol())
-        assert lifted.fresh() is not lifted
-        runs = list(all_executions(g, lifted, SYNC))
-        assert len(runs) == 6 and all(r.success for r in runs)
 
     def test_yielded_boards_are_independent_snapshots(self):
         g = path_graph(3)

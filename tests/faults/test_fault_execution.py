@@ -89,7 +89,7 @@ class TestCrash:
         state = ExecutionState.initial(g, EobBfsProtocol(), ASYNC, None,
                                        faults="crash:1")
         victim = state.write_candidates[0]
-        checkpoint = state.snapshot()
+        checkpoint = state.depth
         state.advance(crash_event(victim, state.n))
         assert victim in state.crashed
         state.restore(checkpoint)
@@ -154,7 +154,7 @@ class TestDup:
 
     def test_dup_undo_pops_both_entries(self):
         state = build_state(faults="dup:1")
-        checkpoint = state.snapshot()
+        checkpoint = state.depth
         state.advance(dup_event(1, state.n))
         state.restore(checkpoint)
         assert len(state.board.entries) == 0

@@ -8,7 +8,8 @@ from repro.core.simulator import all_executions
 from repro.graphs import generators as gen
 from repro.graphs.properties import canonical_bfs_forest, is_rooted_mis
 from repro.hierarchy.adapters import FreezeAtActivation, SequentialLift, lift
-from repro.protocols.bfs import EobBfsProtocol
+from repro.graphs.families import family
+from repro.protocols.bfs import BipartiteBfsAsyncProtocol, EobBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.protocols.mis import RootedMisProtocol
 from repro.protocols.two_cliques import TWO_CLIQUES, TwoCliquesProtocol
@@ -80,10 +81,6 @@ class TestSequentialLift:
         for i, payload in enumerate(r.board.view()):
             assert payload[0] == "SEQ" and payload[1] == i + 1
 
-    def test_fresh_instances_independent(self):
-        lifted = SequentialLift(RootedMisProtocol(1))
-        assert lifted.fresh() is not lifted
-
 
 class TestFreezeAtActivation:
     def test_eob_bfs_in_sync(self):
@@ -124,7 +121,35 @@ class TestFreezeAtActivation:
         g = gen.random_even_odd_bipartite(6, 0.5, seed=0)
         run(g, adapter, SYNC, RandomScheduler(0))
         again = run(g, adapter, SYNC, RandomScheduler(1))
-        assert again.success  # a stale cache would corrupt the second run
+        assert again.success  # one adapter object serves every run
+
+
+    @pytest.mark.parametrize("graph_class",
+                             ["even-odd-bipartite", "bipartite", "all"])
+    @pytest.mark.parametrize("protocol_cls",
+                             [EobBfsProtocol, BipartiteBfsAsyncProtocol],
+                             ids=lambda cls: cls.name)
+    def test_lemma4_async_in_sync(self, protocol_cls, graph_class):
+        """Lemma 4's ``ASYNC ⊆ SYNC``: under every adversary the lifted
+        protocol's SYNC execution writes exactly the entries of the
+        protocol's own ASYNC execution of the same schedule.  Both
+        walks enumerate schedules in the same order, because the lift
+        activates a node exactly when the inner protocol does."""
+        for n in range(3, 7):
+            g = family(graph_class).sample_in_class(n, 0)
+            inner = protocol_cls()
+            lifted = lift(inner, SYNC)
+            sync_runs = list(all_executions(g, lifted, SYNC))
+            async_runs = list(all_executions(g, inner, ASYNC))
+            assert len(sync_runs) == len(async_runs)
+            for s, a in zip(sync_runs, async_runs):
+                assert s.schedule == a.schedule
+                assert ([(e.author, e.payload, e.bits)
+                         for e in s.board.entries]
+                        == [(e.author, e.payload, e.bits)
+                            for e in a.board.entries])
+                assert s.output == a.output
+                assert s.corrupted == a.corrupted
 
 
 class TestLatticeData:

@@ -197,10 +197,7 @@ def test_eob_bfs_decides_property(n, seed, sched_seed):
 
 
 class _ViewSpy:
-    """Mixin recording every board the engine hands the protocol.
-
-    Stays stateless (``fresh()`` returns ``self``), so the engine keeps
-    its journal-rollback restore path."""
+    """Mixin recording every board the engine hands the protocol."""
 
     def __init__(self):
         self.seen = []
@@ -266,7 +263,7 @@ def _walk_views(state, spy, copies):
         if fork.candidates:
             fork.advance(fork.candidates[-1])
             _assert_views(fork, spy, [here, _scratch_view(fork)])
-    checkpoint = state.snapshot()
+    checkpoint = state.depth
     for choice in state.candidates:
         state.advance(choice)
         _assert_views(state, spy, [here, _scratch_view(state)])

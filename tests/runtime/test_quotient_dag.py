@@ -1,7 +1,7 @@
 """The quotient-DAG fold of exhaustive SIMASYNC cells, pinned to the tree.
 
-A qualifying exhaustive cell (no kept runs, a checker, SIMASYNC, a
-stateless ``output_order_invariant`` protocol) folds each quotient
+A qualifying exhaustive cell (no kept runs, a checker, SIMASYNC, an
+``output_order_invariant`` protocol) folds each quotient
 configuration once instead of walking every schedule.  Its report must
 equal the tree walk's field for field — failure order and outputs,
 witnesses, ``max_bits_by_n``, ``executions`` — on both backends.  The
@@ -188,20 +188,6 @@ class OrderVariant(DegenerateBuildProtocol):
 
     def __init__(self) -> None:
         super().__init__(2)
-
-
-class FreshBuild(DegenerateBuildProtocol):
-    def __init__(self) -> None:
-        super().__init__(2)
-
-    def fresh(self) -> "FreshBuild":
-        return FreshBuild()
-
-
-def test_stateful_protocols_keep_the_tree_walk():
-    task = replace(_task("build-degenerate", 5), protocol=FreshBuild())
-    assert quotient.ineligible(task) == "stateful"
-    assert task.execute().report.executions == 120
 
 
 # -- the mis-flag guard ---------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_metric_summaries,
@@ -18,13 +17,6 @@ class TestInstruments:
         c.inc(4)
         assert c.value == 5
         assert c.to_jsonable() == {"type": "counter", "value": 5}
-
-    def test_gauge_keeps_last(self):
-        g = Gauge()
-        assert g.value is None
-        g.set(3.5)
-        g.set(1.0)
-        assert g.to_jsonable() == {"type": "gauge", "value": 1.0}
 
     def test_histogram_summary_stats(self):
         h = Histogram()
@@ -61,7 +53,7 @@ class TestRegistry:
         reg.counter("hits").inc(2)
         reg.counter("hits").inc()
         reg.histogram("lat").observe(0.5)
-        reg.gauge("width").set(7)
+        reg.counter("width").inc(7)
         summary = reg.to_jsonable()
         assert summary["hits"]["value"] == 3
         assert summary["lat"]["count"] == 1
@@ -91,7 +83,7 @@ class TestMerge:
              "lat": {"type": "histogram", "count": 1, "total": 4.0,
                      "min": 4.0, "max": 4.0, "mean": 4.0,
                      "p50": 4.0, "p95": 4.0},
-             "width": {"type": "gauge", "value": 9}}
+             "width": {"type": "counter", "value": 9}}
         into: dict = {}
         merge_metric_summaries(into, a)
         merge_metric_summaries(into, b)
@@ -115,5 +107,8 @@ class TestMerge:
         into = merge_metric_summaries({}, {"x": {"type": "counter",
                                                  "value": 1}})
         with pytest.raises(ValueError):
-            merge_metric_summaries(into, {"x": {"type": "gauge",
-                                                "value": 1}})
+            merge_metric_summaries(into, {"x": {"type": "histogram",
+                                                "count": 1, "total": 1.0,
+                                                "min": 1.0, "max": 1.0,
+                                                "mean": 1.0, "p50": 1.0,
+                                                "p95": 1.0}})
