@@ -125,6 +125,53 @@ class TestConfigKey:
         state.restore(checkpoint)
         assert state.config_key() == initial_key
 
+    def test_lifted_state_rewinds_by_depth(self):
+        """A FreezeAtActivation state rewinds by depth alone: every leaf
+        of a depth-restore walk equals a fresh replay of its schedule,
+        although an inner node's frozen message names the first writer
+        and so differs between branches."""
+        from repro.hierarchy.adapters import FreezeAtActivation
+
+        class FirstWriterEcho(Protocol):
+            name = "first-writer-echo"
+
+            def wants_to_activate(self, view):
+                return view.degree == 1 or len(view.board) > 0
+
+            def message(self, view):
+                return (view.node, tuple(view.board))
+
+            def output(self, board, n):
+                return tuple(board)
+
+        g = gen.path_graph(4)
+        state = ExecutionState.initial(
+            g, FreezeAtActivation(FirstWriterEcho()), SYNC)
+        leaves = []
+
+        def walk():
+            if state.terminal:
+                leaves.append((state.schedule, state.config_key(),
+                               state.result().board.view()))
+                return
+            for choice in state.candidates:
+                checkpoint = state.depth
+                state.advance(choice)
+                walk()
+                state.restore(checkpoint)
+
+        walk()
+        assert len({board for _, _, board in leaves}) > 1
+        for schedule, key, board in leaves:
+            fresh = ExecutionState.initial(
+                g, FreezeAtActivation(FirstWriterEcho()), SYNC)
+            for choice in schedule:
+                fresh.advance(choice)
+            assert fresh.config_key() == key
+            assert replay_schedule(
+                g, FreezeAtActivation(FirstWriterEcho()), SYNC,
+                schedule).board.view() == board
+
     def test_copy_preserves_key(self):
         g = gen.path_graph(4)
         state = ExecutionState.initial(g, EchoProtocol(), SIMSYNC)

@@ -17,6 +17,7 @@ from repro.core.schedulers import (
 from repro.core.simulator import all_executions, count_executions, run
 from repro.graphs.generators import path_graph, random_graph
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.hierarchy.adapters import FreezeAtActivation, SequentialLift
 
 
 class EchoProtocol(Protocol):
@@ -57,6 +58,22 @@ class PickyActivation(Protocol):
 
     def output(self, board, n):
         return tuple(p[0] for p in board)
+
+
+class FirstWriterEcho(Protocol):
+    """Endpoints activate at once; an inner node waits for a write and
+    then echoes the board, so its message names the first writer."""
+
+    name = "first-writer-echo"
+
+    def wants_to_activate(self, view: NodeView) -> bool:
+        return view.degree == 1 or len(view.board) > 0
+
+    def message(self, view: NodeView):
+        return (view.node, tuple(view.board))
+
+    def output(self, board, n):
+        return tuple(board)
 
 
 class NeverActivate(Protocol):
@@ -263,6 +280,37 @@ class TestIncrementalMatchesReplay:
         ]
         assert fast == slow
         assert fast and not fast[0][0]  # the lone execution deadlocks
+
+    @pytest.mark.parametrize("make,model", [
+        pytest.param(lambda: FreezeAtActivation(FirstWriterEcho()), SYNC,
+                     id="freeze-SYNC"),
+        pytest.param(lambda: SequentialLift(EchoProtocol()), ASYNC,
+                     id="sequential-ASYNC"),
+        pytest.param(lambda: SequentialLift(EchoProtocol()), SYNC,
+                     id="sequential-SYNC"),
+    ])
+    def test_lifted_adapters_match_replay(self, make, model):
+        """The Lemma 4 adapters are pure, so their states rewind by depth
+        like any protocol's; undo must not leak one schedule's frozen
+        messages into the next."""
+        from repro.core.simulator import _all_executions_replay
+
+        from repro.core.execution import replay_schedule
+
+        g = path_graph(3)
+        runs = list(all_executions(g, make(), model))
+        fast = [self._fingerprint(r) for r in runs]
+        slow = [
+            self._fingerprint(r)
+            for r in _all_executions_replay(g, make(), model, None)
+        ]
+        assert fast == slow and len(fast) > 0
+        assert all(r[0] for r in fast)
+        # one fresh adapter per schedule: nothing to carry over
+        assert fast == [
+            self._fingerprint(replay_schedule(g, make(), model, r.schedule))
+            for r in runs
+        ]
 
     def test_yielded_boards_are_independent_snapshots(self):
         g = path_graph(3)

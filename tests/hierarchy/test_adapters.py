@@ -81,6 +81,18 @@ class TestSequentialLift:
         for i, payload in enumerate(r.board.view()):
             assert payload[0] == "SEQ" and payload[1] == i + 1
 
+    def test_one_adapter_serves_every_run(self):
+        """A pure lift carries nothing between runs: one object run
+        twice writes the same board as two separate objects."""
+        g = gen.random_graph(6, 0.4, seed=4)
+        lifted = SequentialLift(RootedMisProtocol(1))
+        first = run(g, lifted, SYNC, RandomScheduler(0))
+        again = run(g, lifted, SYNC, RandomScheduler(0))
+        other = run(g, SequentialLift(RootedMisProtocol(1)), SYNC,
+                    RandomScheduler(0))
+        assert first.board.view() == again.board.view() == other.board.view()
+        assert first.output == again.output == other.output
+
 
 class TestFreezeAtActivation:
     def test_eob_bfs_in_sync(self):
