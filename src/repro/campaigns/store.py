@@ -304,8 +304,28 @@ def payload_to_jsonable(value: Any) -> Any:
     )
 
 
-def payload_from_jsonable(value: Any) -> Any:
-    """Inverse of :func:`payload_to_jsonable`."""
+def _graph_from_graph6(
+    text: str, graphs: Optional[dict[str, LabeledGraph]]
+) -> LabeledGraph:
+    """Decode ``text`` once per ``graphs`` dict: every record of one
+    stored row that names the same graph6 string gets the same graph."""
+    if graphs is None:
+        return from_graph6(text)
+    graph = graphs.get(text)
+    if graph is None:
+        graph = graphs[text] = from_graph6(text)
+    return graph
+
+
+def payload_from_jsonable(
+    value: Any, graphs: Optional[dict[str, LabeledGraph]] = None
+) -> Any:
+    """Inverse of :func:`payload_to_jsonable`.
+
+    ``graphs`` maps graph6 strings to graphs already decoded from the
+    same stored row (see :meth:`ResultStore.get`); decoded graphs are
+    added to it.
+    """
     if not isinstance(value, list):
         return value
     if not value or not isinstance(value[0], str):
@@ -313,21 +333,21 @@ def payload_from_jsonable(value: Any) -> Any:
     tag, rest = value[0], value[1:]
     if tag == "graph":
         n, graph6 = rest
-        graph = from_graph6(graph6)
+        graph = _graph_from_graph6(graph6, graphs)
         if graph.n != n:
             raise ValueError("inconsistent stored graph")
         return graph
     if tag == "tuple":
-        return tuple(payload_from_jsonable(v) for v in rest)
+        return tuple(payload_from_jsonable(v, graphs) for v in rest)
     if tag == "list":
-        return [payload_from_jsonable(v) for v in rest]
+        return [payload_from_jsonable(v, graphs) for v in rest]
     if tag == "frozenset":
-        return frozenset(payload_from_jsonable(v) for v in rest)
+        return frozenset(payload_from_jsonable(v, graphs) for v in rest)
     if tag == "set":
-        return {payload_from_jsonable(v) for v in rest}
+        return {payload_from_jsonable(v, graphs) for v in rest}
     if tag == "dict":
         return {
-            payload_from_jsonable(k): payload_from_jsonable(v)
+            payload_from_jsonable(k, graphs): payload_from_jsonable(v, graphs)
             for k, v in rest
         }
     if tag == "dataclass":
@@ -337,7 +357,7 @@ def payload_from_jsonable(value: Any) -> Any:
         for part in qualname.split("."):
             target = getattr(target, part)
         return target(**{
-            name: payload_from_jsonable(v) for name, v in fields
+            name: payload_from_jsonable(v, graphs) for name, v in fields
         })
     raise ValueError(f"unknown stored payload tag {tag!r}")
 
@@ -351,11 +371,13 @@ def _failure_to_jsonable(failure: Failure) -> dict[str, Any]:
     }
 
 
-def _failure_from_jsonable(data: dict[str, Any]) -> Failure:
+def _failure_from_jsonable(
+    data: dict[str, Any], graphs: Optional[dict[str, LabeledGraph]] = None
+) -> Failure:
     return Failure(
-        graph=from_graph6(data["graph"]),
+        graph=_graph_from_graph6(data["graph"], graphs),
         schedule=tuple(data["schedule"]),
-        output=payload_from_jsonable(data["output"]),
+        output=payload_from_jsonable(data["output"], graphs),
         kind=data["kind"],
     )
 
@@ -377,12 +399,15 @@ def witness_to_jsonable(witness: WitnessRecord) -> dict[str, Any]:
     }
 
 
-def witness_from_jsonable(data: dict[str, Any]) -> WitnessRecord:
-    """Inverse of :func:`witness_to_jsonable`."""
+def witness_from_jsonable(
+    data: dict[str, Any], graphs: Optional[dict[str, LabeledGraph]] = None
+) -> WitnessRecord:
+    """Inverse of :func:`witness_to_jsonable` (``graphs`` as in
+    :func:`payload_from_jsonable`)."""
     minimal = data.get("minimal_schedule")
     return WitnessRecord(
         strategy=data["strategy"],
-        graph=from_graph6(data["graph"]),
+        graph=_graph_from_graph6(data["graph"], graphs),
         model_name=data["model"],
         schedule=tuple(data["schedule"]),
         bits=data["bits"],
@@ -409,14 +434,18 @@ def report_to_jsonable(report: VerificationReport) -> dict[str, Any]:
 
 
 def report_from_jsonable(
-    data: dict[str, Any], witnesses: Iterable[WitnessRecord] = ()
+    data: dict[str, Any], witnesses: Iterable[WitnessRecord] = (),
+    graphs: Optional[dict[str, LabeledGraph]] = None,
 ) -> VerificationReport:
-    """Inverse of :func:`report_to_jsonable`."""
+    """Inverse of :func:`report_to_jsonable` (``graphs`` as in
+    :func:`payload_from_jsonable`)."""
     report = VerificationReport(data["protocol_name"], data["model_name"])
     report.instances = data["instances"]
     report.executions = data["executions"]
     report.exhaustive_instances = data["exhaustive_instances"]
-    report.failures = [_failure_from_jsonable(f) for f in data["failures"]]
+    report.failures = [
+        _failure_from_jsonable(f, graphs) for f in data["failures"]
+    ]
     report.max_message_bits = data["max_message_bits"]
     report.max_bits_by_n = {int(n): b for n, b in data["max_bits_by_n"].items()}
     report.witnesses = list(witnesses)
@@ -486,7 +515,11 @@ class ResultStore:
     def get(self, fingerprint: str) -> Optional[VerificationReport]:
         """The stored report for ``fingerprint``, or ``None``.
 
-        Counts a session hit/miss either way.
+        Each distinct graph6 string of the row is decoded once: the
+        row's failures, witnesses and graph-valued failure outputs that
+        name one instance share one :class:`LabeledGraph`, as the
+        records of a freshly computed report do.  Counts a session
+        hit/miss either way.
         """
         tracer = _trace.active()
         start = time.perf_counter() if tracer is not None else 0.0
@@ -504,12 +537,14 @@ class ResultStore:
             return None
         self.hits += 1
         report_json, witnesses_jsonl = row
+        graphs: dict[str, LabeledGraph] = {}
         witnesses = [
-            witness_from_jsonable(json.loads(line))
+            witness_from_jsonable(json.loads(line), graphs)
             for line in witnesses_jsonl.splitlines()
             if line.strip()
         ]
-        report = report_from_jsonable(json.loads(report_json), witnesses)
+        report = report_from_jsonable(json.loads(report_json), witnesses,
+                                      graphs)
         if tracer is not None:
             tracer.observe("store.get_seconds", time.perf_counter() - start)
             tracer.count("store.hits")

@@ -448,10 +448,12 @@ def _e16_scale(quick: bool) -> ExperimentResult:
     t0 = time.perf_counter()
     r = run(g, DegenerateBuildProtocol(3), SIMASYNC, MinIdScheduler())
     dt = time.perf_counter() - t0
+    # The time gates the verdict but stays out of the summary, so the
+    # summary is the same on every run and machine.
     ok = r.output == g and dt < 30.0
     return ExperimentResult(
         "E16", ok,
-        f"E16 — scale: BUILD k=3 at n={n} in {dt:.2f}s, "
+        f"E16 — scale: BUILD k=3 at n={n} within 30s, "
         f"max message {r.max_message_bits} bits",
     )
 

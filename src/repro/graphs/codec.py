@@ -59,17 +59,26 @@ def _decode_n(data: bytes) -> tuple[int, int]:
 
 
 def to_graph6(graph: LabeledGraph) -> str:
-    """Serialize to a graph6 string (no ``>>graph6<<`` header)."""
+    """Serialize to a graph6 string (no ``>>graph6<<`` header).
+
+    The string is encoded once per graph and kept on it, so fingerprints,
+    stored rows and trajectory points that name one instance pay for one
+    encoding; a graph from :func:`from_graph6` starts with its string.
+    """
+    text = graph._graph6
+    if text is None:
+        text = graph._graph6 = _encode(graph)
+    return text
+
+
+def _encode(graph: LabeledGraph) -> str:
     n = graph.n
+    adj = graph._adj
     out = _encode_n(n)
     # Column-major upper triangle: bit for (i, j), i < j, ordered by
-    # j = 1..n-1 then i = 0..j-1 (0-based), per the format spec.
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i + 1, j + 1) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    # j = 2..n then i = 1..j-1 (node identifiers), per the format spec.
+    bits = [i in adj[j] for j in range(2, n + 1) for i in range(1, j)]
+    bits.extend([False] * (-len(bits) % 6))
     for pos in range(0, len(bits), 6):
         value = 0
         for b in bits[pos : pos + 6]:
@@ -79,7 +88,13 @@ def to_graph6(graph: LabeledGraph) -> str:
 
 
 def from_graph6(text: str) -> LabeledGraph:
-    """Parse a graph6 string (tolerates the ``>>graph6<<`` header)."""
+    """Parse a graph6 string (tolerates the ``>>graph6<<`` header and
+    surrounding whitespace).
+
+    The returned graph carries the canonical string, the one
+    :func:`to_graph6` would produce, so it fingerprints like an equal
+    graph built any other way.
+    """
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<"):]
     data = text.strip().encode("ascii")
@@ -106,4 +121,8 @@ def from_graph6(text: str) -> LabeledGraph:
             pos += 1
     if any(bits[need_bits:]):
         raise ValueError("nonzero padding bits")
-    return LabeledGraph(n, edges)
+    graph = LabeledGraph(n, edges)
+    # The size prefix is re-encoded: a long prefix for a small ``n``
+    # parses too, but is not the string ``to_graph6`` gives.
+    graph._graph6 = (bytes(_encode_n(n)) + body).decode("ascii")
+    return graph

@@ -55,9 +55,13 @@ class LabeledGraph:
     Adjacency is stored as a tuple of ``frozenset`` so instances are
     hashable and safe to share.  ``adj[0]`` is an unused sentinel: node
     identifiers are 1-based throughout, mirroring the paper.
+
+    The hash and the graph6 string (:func:`~repro.graphs.codec.to_graph6`)
+    are computed on first use and kept on the instance; equality, hash
+    and ``repr`` read the adjacency only, never the cached string.
     """
 
-    __slots__ = ("_n", "_adj", "_m", "_hash")
+    __slots__ = ("_n", "_adj", "_m", "_hash", "_graph6")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -76,6 +80,7 @@ class LabeledGraph:
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._m = m
         self._hash: Optional[int] = None
+        self._graph6: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -1,5 +1,6 @@
 """ResultStore: fingerprint determinism, exact round trips, gc."""
 
+import dataclasses
 import json
 
 import pytest
@@ -18,8 +19,14 @@ from repro.campaigns.store import (
     witness_from_jsonable,
     witness_to_jsonable,
 )
+import repro.campaigns.store as store_module
 from repro.core import SIMASYNC
-from repro.graphs.generators import odd_cycle_graph, random_k_degenerate
+from repro.graphs.codec import from_graph6, to_graph6
+from repro.graphs.generators import (
+    odd_cycle_graph,
+    path_graph,
+    random_k_degenerate,
+)
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.runtime import ExecutionPlan
@@ -70,6 +77,44 @@ class TestFingerprints:
         stressed = build_plan(mode="stress").tasks[0]
         prints = {task_fingerprint(t, "s") for t in (base, budgeted, stressed)}
         assert len(prints) == 3
+
+    # Captured with a codec that encoded every graph afresh on each
+    # call; an edit to the codec or the fingerprint spec that moves one
+    # of these orphans every stored verdict.
+    PINNED = {
+        "exhaustive": (
+            4, {},
+            "3dc7dc2724d3caaf8ab483c7d7c152a93cfe9d7ed6c67ea598d88381254d1482",
+        ),
+        "search": (
+            6, {},
+            "74ebf311241d3b2cce6c8218acbdd9f5cd0f2cb1d2ca0cad241f6f099e74dfac",
+        ),
+        "crash1": (
+            4, {"faults": "crash:1"},
+            "a007762014b94df2b88788df08c9db8f06bb59e2a71d0e784d79f1b886d4881c",
+        ),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PINNED))
+    def test_pinned_fingerprints(self, cell):
+        n, kwargs, expected = self.PINNED[cell]
+        (task,) = build_plan(sizes=(n,), mode="stress", **kwargs).tasks
+        assert task.mode == ("search" if cell == "search" else "exhaustive")
+        assert task_fingerprint(task, salt="pinned") == expected
+
+    def test_decoded_instance_fingerprints_like_its_twin(self):
+        (generated,) = build_plan(sizes=(5,), mode="stress").tasks
+        text = to_graph6(random_k_degenerate(5, 2, seed=0))
+        decoded = from_graph6(">>graph6<<" + text + "\n")
+        assert decoded == generated.graph
+        (read,) = ExecutionPlan.build(
+            DegenerateBuildProtocol(2), SIMASYNC, [decoded], mode="stress",
+            checker=BuildEqualsInput(), keep_runs=False,
+        ).tasks
+        assert task_fingerprint(read, salt="pinned") == task_fingerprint(
+            generated, salt="pinned"
+        )
 
     def test_env_salt_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_SALT", "pinned")
@@ -133,6 +178,48 @@ class TestCodec:
         report.witnesses = [witness]
         assert decoded_report == report
         assert list(decoded_report.max_bits_by_n) == [5, 4]
+
+
+class TestDecodeSharing:
+    def test_one_decode_per_distinct_string(self, tmp_path, monkeypatch):
+        # Failures, witnesses and graph-valued outputs of one stored row
+        # name one instance; another graph appears in one output only.
+        g = random_k_degenerate(5, 2, seed=3)
+        other = path_graph(4)
+        report = VerificationReport("p", "SIMASYNC")
+        report.instances = 1
+        report.executions = 3
+        report.max_message_bits = 12
+        report.max_bits_by_n = {5: 12}
+        report.failures = [
+            Failure(g, (1, 2, 3, 4, 5), None, "deadlock"),
+            Failure(g, (5, 4, 3, 2, 1), g, "wrong-output"),
+            Failure(g, (2, 1, 3, 4, 5), ("tuple", [g, other]), "wrong-output"),
+        ]
+        report.witnesses = [
+            WitnessRecord(strategy=s, graph=g, model_name="SIMASYNC",
+                          schedule=(1, 2, 3, 4, 5), bits=12, deadlock=False,
+                          minimal_schedule=(1,))
+            for s in ("greedy-bits", "beam")
+        ]
+        decoded = []
+
+        def counting(text):
+            decoded.append(text)
+            return from_graph6(text)
+
+        with ResultStore(tmp_path / "s.db") as store:
+            store.put("fp", report)
+            monkeypatch.setattr(store_module, "from_graph6", counting)
+            served = store.get("fp")
+        assert sorted(decoded) == sorted([to_graph6(g), to_graph6(other)])
+        for name in (f.name for f in dataclasses.fields(VerificationReport)):
+            assert getattr(served, name) == getattr(report, name), name
+        shared = served.failures[0].graph
+        assert served.failures[1].output is shared
+        assert served.failures[2].output[1][0] is shared
+        assert all(w.graph is shared for w in served.witnesses)
+        assert all(f.graph is shared for f in served.failures)
 
 
 class TestStore:

@@ -49,6 +49,24 @@ class TestRegeneration:
         assert [r.experiment_id for r in results] == ids
         assert all(r.ok for r in results)
 
+    def test_e16_summary_is_reproducible(self, monkeypatch):
+        import time
+
+        first = run_experiment("E16", quick=True)
+        real = time.perf_counter
+        # A machine ten times slower still passes and prints the same.
+        monkeypatch.setattr(time, "perf_counter", lambda: real() * 10)
+        second = run_experiment("E16", quick=True)
+        assert first.ok and second.ok
+        assert first.artifact == second.artifact
+
+    def test_e16_keeps_its_time_gate(self, monkeypatch):
+        import time
+
+        real = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: real() * 1e6)
+        assert not run_experiment("E16", quick=True).ok
+
     def test_table2_details(self):
         result = run_experiment("E2", quick=True)
         assert result.details.get("matches_paper") is True
