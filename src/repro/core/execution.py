@@ -57,7 +57,7 @@ from ..graphs.labeled_graph import LabeledGraph
 from .errors import MessageTooLarge, ProtocolViolation, SchedulerError
 from .models import ModelSpec
 from .protocol import NodeView, Protocol
-from .whiteboard import BoardView, Whiteboard
+from .whiteboard import BoardView, Entry, Whiteboard
 
 __all__ = ["RunResult", "ExecutionState", "replay_schedule", "board_output"]
 
@@ -261,7 +261,8 @@ class ExecutionState:
     def candidates(self) -> tuple[int, ...]:
         """Choices the adversary may pick: active unwritten nodes
         (ascending), then any affordable fault events."""
-        return self._candidate_pair()[1]
+        pair = self._candidates
+        return (pair if pair is not None else self._candidate_pair())[1]
 
     @property
     def write_candidates(self) -> tuple[int, ...]:
@@ -289,7 +290,12 @@ class ExecutionState:
 
     @property
     def terminal(self) -> bool:
-        return self.done or not self.write_candidates
+        """:attr:`done` or :attr:`deadlocked` (read without the two
+        property calls: search kernels ask this at every node)."""
+        if len(self.written) + len(self.crashed) == self.graph.n:
+            return True
+        pair = self._candidates
+        return not (pair if pair is not None else self._candidate_pair())[0]
 
     def config_key(self, quotient: bool = False) -> tuple:
         """Canonical, always-hashable digest of this configuration.
@@ -456,23 +462,20 @@ class ExecutionState:
         for v in self.graph.nodes():
             if v in active or v in written or v in crashed:
                 continue
-            if model.simultaneous or proto.wants_to_activate(self._view_of(v)):
+            view = self._view_of(v)
+            if model.simultaneous or proto.wants_to_activate(view):
                 active.add(v)
                 self.activation_round[v] = event
                 added.append(v)
                 if model.asynchronous:
                     # "Once a node raises its hand it cannot change its
                     # mind": compute and freeze the message now.
-                    self.frozen[v] = self._own_payload(
-                        proto.message(self._view_of(v))
-                    )
+                    self.frozen[v] = self._own_payload(proto.message(view))
         return tuple(added)
 
     def _message_bits(self, writer: int, payload: Any) -> int:
-        if self.model.asynchronous:
-            bits = self.frozen_bits.get(writer)
-            if bits is not None:
-                return bits
+        """Size ``payload``, cached per writer in asynchronous models
+        (callers read that cache first)."""
         try:
             bits = payload_bits(payload)
         except TypeError as exc:
@@ -493,27 +496,24 @@ class ExecutionState:
         bit budget, and :class:`ProtocolViolation` on a non-payload
         message — all before the board is touched.
         """
-        candidates = self.candidates
-        if choice not in candidates:
+        pair = self._candidates
+        if pair is None:
+            pair = self._candidate_pair()
+        if choice not in pair[1]:
             raise SchedulerError(
-                f"scheduler chose {choice}, not among active nodes {candidates}"
+                f"scheduler chose {choice}, not among active nodes {pair[1]}"
             )
         if choice < 0:
             return self._advance_fault(choice)
-        if self.model.asynchronous:
-            payload = self.frozen[choice]
-        else:
-            payload = self._own_payload(self.protocol.message(self._view_of(choice)))
-        bits = self._message_bits(choice, payload)
-        if self.bit_budget is not None and bits > self.bit_budget:
-            raise MessageTooLarge(choice, bits, self.bit_budget)
+        payload, bits = self._produce_message(choice)
         event = len(self.choices) + 1
-        self.board.write(choice, payload, event, bits)
+        entries = self.board.entries
+        entries.append(Entry(len(entries), choice, payload, bits, event))
         self.written.add(choice)
         self.active.discard(choice)
         activated = self._activation_pass(event)
         self.choices.append(choice)
-        self._journal.append(("w", choice, activated, self._candidates))
+        self._journal.append(("w", choice, activated, pair))
         self.last_event_bits = bits
         self.last_event_total = bits
         self._candidates = None
@@ -523,9 +523,12 @@ class ExecutionState:
         """The message ``node`` would write now, budget-checked."""
         if self.model.asynchronous:
             payload = self.frozen[node]
+            bits = self.frozen_bits.get(node)
+            if bits is None:
+                bits = self._message_bits(node, payload)
         else:
             payload = self._own_payload(self.protocol.message(self._view_of(node)))
-        bits = self._message_bits(node, payload)
+            bits = self._message_bits(node, payload)
         if self.bit_budget is not None and bits > self.bit_budget:
             raise MessageTooLarge(node, bits, self.bit_budget)
         return payload, bits

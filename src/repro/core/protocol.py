@@ -27,13 +27,16 @@ step per payload and every call on the same board shares the result
 step function is pure, and the accumulator is immutable — one
 accumulator object is shared by every view that extends it and every
 caller that reads it.
+
+The engine builds one :class:`NodeView` per activation check and per
+message, so the view is a :class:`~typing.NamedTuple`: immutable and
+built with one tuple allocation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..encoding.bits import Payload
 from .whiteboard import BoardView
@@ -41,9 +44,10 @@ from .whiteboard import BoardView
 __all__ = ["NodeView", "Protocol"]
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """Everything a node is allowed to know when deciding/acting.
+
+    An immutable named tuple of the four paper-legal inputs.
 
     Attributes
     ----------

@@ -17,13 +17,18 @@ write extends the previous view (:meth:`BoardView.extended`), and
 :meth:`BoardView.fold` lets a protocol that parses the whole board do
 so incrementally — every view that extends a parsed one pays one step
 for its new payload instead of a re-parse.
+
+Both records are built on every write event, so they are as cheap as
+Python allows: an :class:`Entry` is a :class:`~typing.NamedTuple`
+(immutable, positional, no per-field setter), and a :class:`BoardView`
+is a ``__slots__`` class whose fold memo lives in a slot.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Optional, TypeVar
+from typing import NamedTuple, Optional, TypeVar
 
 from ..encoding.bits import Payload, payload_bits
 
@@ -32,8 +37,7 @@ A = TypeVar("A")
 __all__ = ["Entry", "Whiteboard", "BoardView"]
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     """One written message with simulator metadata."""
 
     index: int
@@ -43,21 +47,34 @@ class Entry:
     round_written: int
 
 
-@dataclass(frozen=True)
 class BoardView:
     """Protocol-facing read-only view: ordered payloads only.
 
     Equality and hashing see ``payloads`` alone.  ``parent`` — the view
     of every payload but the last, when this view was built by
-    :meth:`extended` — and the :meth:`fold` memo are bookkeeping that
-    comparisons ignore.
+    :meth:`extended` — and the :meth:`fold` memo (the ``_folds`` slot)
+    are bookkeeping that comparisons ignore.  The slots are assigned
+    once, in ``__init__``; afterwards only the fold memo grows.
     """
 
-    payloads: tuple[Payload, ...]
-    parent: Optional["BoardView"] = field(default=None, compare=False,
-                                          repr=False)
-    _folds: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+    __slots__ = ("payloads", "parent", "_folds")
+
+    def __init__(self, payloads: tuple[Payload, ...],
+                 parent: Optional["BoardView"] = None) -> None:
+        self.payloads = payloads
+        self.parent = parent
+        self._folds: dict = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoardView):
+            return NotImplemented
+        return self.payloads == other.payloads
+
+    def __hash__(self) -> int:
+        return hash(self.payloads)
+
+    def __repr__(self) -> str:
+        return f"BoardView(payloads={self.payloads!r})"
 
     def extended(self, payload: Payload) -> "BoardView":
         """The view of this board with ``payload`` written next."""

@@ -38,8 +38,13 @@ Performance notes: :class:`BitWriter` accumulates into one Python int
 (appending ``w`` bits is a shift-or, not ``w`` list appends), and
 :func:`payload_bits` walks the payload with an explicit stack — board
 accounting runs on every write event of every simulated execution, so
-both are hot paths.  The bit sequences and sizes produced are identical
-to the original list-based implementation.
+both are hot paths.  :func:`payload_key` packs exact ints, ASCII
+symbols and tuples straight into one int in a single recursive walk,
+with no :class:`BitWriter` method calls; every other value (lists,
+dicts, bools, subclasses, non-ASCII strings) goes through the
+writer's ``_write``, so keys and exceptions are bit-identical to it.
+The bit sequences and sizes produced are identical to the original
+list-based implementation.
 """
 
 from __future__ import annotations
@@ -278,6 +283,8 @@ def payload_bits(payload: Payload) -> int:
     # rather than a push and a pop.  ``type(x) is int`` is the fast path
     # and correctly excludes bool (a distinct type), which the fallback
     # rejects; subclasses of the payload types take the fallback too.
+    # An int costs 2 (tag) + gamma(zigzag(p) + 1) = 3 + 2 * |p|'s bit
+    # length: zigzag(p) + 1 is 2p + 1 or -2p, one bit longer than |p|.
     total = 0
     stack = [(payload,)]
     pop = stack.pop
@@ -286,8 +293,7 @@ def payload_bits(payload: Payload) -> int:
         for p in pop():
             t = type(p)
             if t is int:
-                u = p + p if p >= 0 else -p - p - 1
-                total += 1 + 2 * (u + 1).bit_length()  # 2 (tag) + gamma
+                total += 3 + 2 * p.bit_length()
             elif t is tuple:
                 total += 1 + 2 * (len(p) + 1).bit_length()
                 append(p)
@@ -341,7 +347,50 @@ def payload_key(payload: Payload) -> tuple[int, int]:
     would raise.  ``payload_key(a) == payload_key(b)`` iff the codec
     encodes ``a`` and ``b`` identically (dicts equal as mappings share a
     key regardless of insertion order).
+
+    The packing walk is :func:`_pack`; the result equals
+    ``BitWriter``/``_write``'s :meth:`~BitWriter.as_key`, and every
+    value the walk does not pack itself raises what ``_write`` raises.
+    The walk recurses through ``_pack``, never through this name, so a
+    wrapper installed on ``payload_key`` sees one call per digest.
     """
+    return _pack(payload)
+
+
+def _pack(p: Payload) -> tuple[int, int]:
+    """``(nbits, value)`` of the canonical encoding of ``p``.
+
+    Exact ints, ASCII strings and tuples are packed inline (a tuple's
+    int items without a call); anything else is handed to ``_write``.
+    A gamma code of ``m`` is ``m`` itself in ``2 * m.bit_length() - 1``
+    bits, so appending a header is one shift-or.
+    """
+    t = type(p)
+    if t is tuple:
+        m = len(p) + 1
+        width = 2 * m.bit_length() - 1
+        nbits = 2 + width
+        acc = _TAG_TUPLE << width | m
+        for item in p:
+            if type(item) is int:
+                u = item + item + 1 if item >= 0 else -item - item
+                k = 2 * u.bit_length() + 1  # 2 (tag 0) + gamma
+                acc = acc << k | u
+            else:
+                k, value = _pack(item)
+                acc = acc << k | value
+            nbits += k
+        return nbits, acc
+    if t is int:
+        u = p + p + 1 if p >= 0 else -p - p  # zigzag(p) + 1
+        return 2 * u.bit_length() + 1, u
+    if t is str and p.isascii():
+        m = len(p) + 1
+        width = 2 * m.bit_length() - 1
+        acc = _TAG_SYM << width | m
+        for c in p:
+            acc = acc << 7 | ord(c)
+        return 2 + width + 7 * len(p), acc
     w = BitWriter()
-    _write(w, payload)
+    _write(w, p)
     return w.as_key()

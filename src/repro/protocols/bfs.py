@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from ..encoding.bits import Payload
 from ..graphs.properties import ROOT, BfsForest
@@ -69,9 +69,8 @@ _TAG_INVALID = "INV"
 _TAG_ABORT = "ABT"
 
 
-@dataclass(frozen=True)
-class BfsRecord:
-    """One parsed BFS whiteboard record."""
+class BfsRecord(NamedTuple):
+    """One parsed BFS whiteboard record (an immutable named tuple)."""
 
     node: int
     layer: int
@@ -242,22 +241,42 @@ class _LayeredBfsBase(Protocol):
         return epoch.complete_prefix >= lam + 1
 
     def _bfs_payload(self, view: NodeView, state: BoardState) -> Payload:
-        neigh = self._written_neighbor_records(view, state)
-        if not neigh:
+        """The node's record, from one pass over the current epoch.
+
+        Among the written neighbours, ``lam`` is the minimal layer,
+        ``parent`` the smallest identifier on it, ``d_prev`` their count
+        and ``d_same`` the count on layer ``lam + 1`` (the writer's own
+        layer).  When a smaller layer turns up, the records counted on
+        the old minimum are exactly those one layer above the new one.
+        """
+        epoch = state.current
+        neighbors = view.neighbors
+        lam = parent = None
+        d_prev = d_same = 0
+        for r in epoch.records if epoch is not None else ():
+            node = r.node
+            if node not in neighbors:
+                continue
+            layer = r.layer
+            if lam is None or layer < lam:
+                d_same = d_prev if lam is not None and layer + 1 == lam else 0
+                lam, parent, d_prev = layer, node, 1
+            elif layer == lam:
+                d_prev += 1
+                if node < parent:
+                    parent = node
+            elif layer == lam + 1:
+                d_same += 1
+        if lam is None:
             # Root record: layer 0, full degree pointing outward.
             if self.track_same_layer:
                 return (_TAG_BFS, view.node, 0, ROOT, 0, 0, view.degree)
             return (_TAG_BFS, view.node, 0, ROOT, 0, view.degree)
-        lam = min(r.layer for r in neigh)
-        layer = lam + 1
-        prev = [r for r in neigh if r.layer == lam]
-        parent = min(r.node for r in prev)
-        d_prev = len(prev)
         if self.track_same_layer:
-            d_same = sum(1 for r in neigh if r.layer == layer)
-            return (_TAG_BFS, view.node, layer, parent, d_prev, d_same,
+            return (_TAG_BFS, view.node, lam + 1, parent, d_prev, d_same,
                     view.degree - d_prev)
-        return (_TAG_BFS, view.node, layer, parent, d_prev, view.degree - d_prev)
+        return (_TAG_BFS, view.node, lam + 1, parent, d_prev,
+                view.degree - d_prev)
 
     # -- protocol interface -------------------------------------------
     def wants_to_activate(self, view: NodeView) -> bool:

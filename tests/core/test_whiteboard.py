@@ -1,9 +1,16 @@
 """Tests for the whiteboard containers."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.core.whiteboard import BoardView, Whiteboard
+from repro.core import SYNC, MinIdScheduler, run
+from repro.core.protocol import NodeView
+from repro.core.whiteboard import BoardView, Entry, Whiteboard
 from repro.encoding.bits import payload_bits
+from repro.graphs import generators as gen
+from repro.protocols.bfs import BfsRecord, SyncBfsProtocol
 
 
 class TestWhiteboard:
@@ -50,3 +57,44 @@ class TestBoardView:
         assert v.empty
         with pytest.raises(IndexError):
             _ = v.last
+
+
+class TestRecordSemantics:
+    @pytest.mark.parametrize("record, field", [
+        (Entry(0, 1, (1,), 5, 1), "bits"),
+        (NodeView(1, frozenset({2}), 2, BoardView(())), "board"),
+        (BfsRecord(1, 0, "ROOT", 0, 0, 1), "layer"),
+    ], ids=["Entry", "NodeView", "BfsRecord"])
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+    def test_node_view_degree(self):
+        assert NodeView(1, frozenset({2, 3}), 3, BoardView(())).degree == 2
+
+    def test_board_view_equality_ignores_parent_and_fold_memo(self):
+        grown = BoardView(()).extended(1).extended(2)
+        grown.fold(lambda acc, p: acc + p, 0)
+        fresh = BoardView((1, 2))
+        assert grown.parent is not None and fresh.parent is None
+        assert grown._folds and not fresh._folds
+        assert grown == fresh and hash(grown) == hash(fresh)
+        assert grown != BoardView((2, 1))
+
+    def test_board_view_eq_defers_to_other_types(self):
+        view = BoardView((1,))
+        assert view.__eq__((1,)) is NotImplemented
+        assert view != (1,)
+
+    def test_board_view_repr(self):
+        view = BoardView(()).extended((1, "a"))
+        assert repr(view) == "BoardView(payloads=((1, 'a'),))"
+
+    def test_run_result_pickle_round_trip(self):
+        """Exhaustive lots ship RunResults across the pool by pickle."""
+        result = run(gen.cycle_graph(5), SyncBfsProtocol(), SYNC,
+                     MinIdScheduler())
+        back = pickle.loads(pickle.dumps(result))
+        for f in dataclasses.fields(result):
+            assert getattr(back, f.name) == getattr(result, f.name), f.name
+        assert all(type(e) is Entry for e in back.board.entries)

@@ -240,3 +240,76 @@ def test_gamma_is_self_delimiting(v):
     r = BitReader(w.bits())
     assert r.read_gamma() == v
     assert r.read_gamma() == v + 1
+
+
+# ----------------------------------------------------------------------
+# payload_key's direct packing against the BitWriter encoding
+# ----------------------------------------------------------------------
+
+
+def _writer_key(payload):
+    """The reference digest: ``_write`` into a :class:`BitWriter`."""
+    from repro.encoding.bits import _write
+
+    w = BitWriter()
+    _write(w, payload)
+    return w.as_key()
+
+
+def _outcome(fn, payload):
+    try:
+        return ("ok", fn(payload))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("raise", type(exc))
+
+
+key_atoms = st.one_of(
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+    st.text(
+        alphabet=st.characters(min_codepoint=0, max_codepoint=127),
+        max_size=70,
+    ),
+)
+#: Variable-length tuples (empty ones included), lists and dicts nested
+#: under each other: every branch of the packing walk and its fallback.
+key_payloads = st.recursive(
+    key_atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=3),
+        st.dictionaries(key_atoms, inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@given(key_payloads)
+def test_payload_key_equals_writer_encoding(payload):
+    from repro.encoding.bits import payload_key
+
+    assert payload_key(payload) == _writer_key(payload)
+
+
+@given(st.dictionaries(key_atoms, key_payloads, min_size=2, max_size=4))
+def test_payload_key_ignores_dict_key_order(payload):
+    from repro.encoding.bits import payload_key
+
+    reordered = dict(reversed(list(payload.items())))
+    assert payload_key(reordered) == payload_key(payload)
+    assert payload_key((reordered, 1)) == _writer_key((payload, 1))
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload", [True, (1, False), 1.5, "é", ("ok", "é"), _Int(5), (_Int(-3),)],
+    ids=repr,
+)
+def test_payload_key_fallback_matches_writer(payload):
+    """Values the walk does not pack itself — bools, floats, non-ASCII
+    symbols, int subclasses — raise (or encode) exactly as ``_write``."""
+    from repro.encoding.bits import payload_key
+
+    assert _outcome(payload_key, payload) == _outcome(_writer_key, payload)

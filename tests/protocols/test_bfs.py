@@ -6,15 +6,19 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ASYNC, SYNC, MinIdScheduler, RandomScheduler, run
 from repro.core.schedulers import default_portfolio
 from repro.core.execution import ExecutionState
+from repro.core.protocol import NodeView
 from repro.core.simulator import all_executions
 from repro.core.whiteboard import BoardView
 from repro.graphs import generators as gen
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.properties import canonical_bfs_forest, is_bipartite, is_even_odd_bipartite
 from repro.protocols.bfs import (
+    BfsRecord,
     BipartiteBfsAsyncProtocol,
+    BoardState,
     EobBfsProtocol,
     SyncBfsProtocol,
+    _Epoch,
     parse_board,
 )
 from repro.protocols.connectivity import ConnectivityProtocol
@@ -317,3 +321,58 @@ def test_fold_extends_parent_memo():
     assert scratch == c and hash(scratch) == hash(c)
     assert scratch.fold(step, ()) == c.fold(step, ())
     assert len(calls) == 6
+
+
+def _reference_bfs_payload(proto, view, state):
+    """The four-pass record formula: minimal written-neighbour layer,
+    the neighbours on it, their smallest identifier, and the count one
+    layer above it."""
+    epoch = state.current
+    neigh = ([] if epoch is None
+             else [r for r in epoch.records if r.node in view.neighbors])
+    if not neigh:
+        if proto.track_same_layer:
+            return ("B", view.node, 0, "ROOT", 0, 0, view.degree)
+        return ("B", view.node, 0, "ROOT", 0, view.degree)
+    lam = min(r.layer for r in neigh)
+    layer = lam + 1
+    prev = [r for r in neigh if r.layer == lam]
+    parent = min(r.node for r in prev)
+    d_prev = len(prev)
+    if proto.track_same_layer:
+        d_same = sum(1 for r in neigh if r.layer == layer)
+        return ("B", view.node, layer, parent, d_prev, d_same,
+                view.degree - d_prev)
+    return ("B", view.node, layer, parent, d_prev, view.degree - d_prev)
+
+
+@st.composite
+def _neighbour_records(draw):
+    """A current epoch of BFS records (distinct writers, arbitrary
+    layers and counts, in any write order) and a neighbourhood that
+    covers some of them plus some unwritten nodes."""
+    nodes = draw(st.lists(st.integers(1, 30), unique=True, max_size=12))
+    records = tuple(
+        BfsRecord(v, draw(st.integers(0, 4)), draw(st.integers(0, 30)),
+                  draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+                  draw(st.integers(0, 5)))
+        for v in nodes
+    )
+    neighbors = frozenset(
+        draw(st.sets(st.sampled_from(nodes))) if nodes else ()
+    ) | draw(st.frozensets(st.integers(31, 40), max_size=3))
+    epochs = draw(st.sampled_from([(), (_Epoch(records),)]))
+    state = BoardState(epochs, frozenset(nodes), False)
+    return NodeView(99, neighbors, 40, BoardView(())), state
+
+
+@pytest.mark.parametrize(
+    "proto", [SyncBfsProtocol(), BipartiteBfsAsyncProtocol()],
+    ids=["track_same_layer", "bipartite"],
+)
+@settings(max_examples=200, deadline=None)
+@given(case=_neighbour_records())
+def test_one_pass_bfs_payload_matches_reference(proto, case):
+    view, state = case
+    assert proto._bfs_payload(view, state) == _reference_bfs_payload(
+        proto, view, state)
