@@ -113,7 +113,7 @@ def _verified_cell(report: VerificationReport, note: str) -> EmpiricalCell:
     )
 
 
-def _build_instances(quick: bool, seed: int) -> list[LabeledGraph]:
+def _degenerate_instances(quick: bool, seed: int) -> list[LabeledGraph]:
     sizes, _ = _sizes(quick)
     out: list[LabeledGraph] = [gen.random_graph(4, 0.5, seed), gen.path_graph(5)]
     for i, n in enumerate(sizes):
@@ -264,7 +264,7 @@ def generate_table2(quick: bool = True, seed: int = 0) -> Table2Result:
 
     # --- BUILD on degeneracy-<=k graphs: yes in all four models -------
     build_instances = [
-        g for g in _build_instances(quick, seed) if is_k_degenerate(g, _K)
+        g for g in _degenerate_instances(quick, seed) if is_k_degenerate(g, _K)
     ]
     build = DegenerateBuildProtocol(_K)
     for model in ALL_MODELS:
@@ -299,7 +299,7 @@ def generate_table2(quick: bool = True, seed: int = 0) -> Table2Result:
     # --- TRIANGLE --------------------------------------------------------
     cells[("TRIANGLE", "SIMASYNC")] = _reduction_cell_triangle(seed)
     tri_instances = [
-        g for g in _build_instances(quick, seed + 100) if is_k_degenerate(g, _K)
+        g for g in _degenerate_instances(quick, seed + 100) if is_k_degenerate(g, _K)
     ]
     tri = DegenerateTriangleProtocol(_K)
     for model in (SIMSYNC, ASYNC, SYNC):

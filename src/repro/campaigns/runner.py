@@ -40,12 +40,13 @@ from typing import Iterator, Optional, Sequence
 from ..analysis.checkers import default_checker
 from ..core.models import MODELS_BY_NAME
 from ..faults.spec import resolve_faults
-from ..graphs.families import FAMILIES, family
+from ..graphs.families import FAMILIES, FAMILY_ALIASES, family
 from ..protocols.census import CENSUS_BY_KEY
 from ..runtime.backends import Backend, SerialBackend
 from ..runtime.plan import ExecutionPlan, ExecutionTask
 from ..runtime.results import (
     KernelStatsSink,
+    ListSink,
     ResultSink,
     StoreBackedSink,
     VerificationReport,
@@ -69,7 +70,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One (census protocol × instance family) block of a campaign."""
+    """One (census protocol × instance family) block of a campaign.
+
+    ``family`` may name an alias from
+    :data:`~repro.graphs.families.FAMILY_ALIASES`; it is stored as the
+    registered name, so both spellings are one cell.
+    """
 
     protocol_key: str
     family: str
@@ -88,11 +94,13 @@ class CampaignCell:
             raise ValueError(
                 f"unknown census protocol {self.protocol_key!r}; known: {known}"
             )
-        if self.family not in FAMILIES:
+        canonical = FAMILY_ALIASES.get(self.family, self.family)
+        if canonical not in FAMILIES:
             known = ", ".join(sorted(FAMILIES))
             raise ValueError(
                 f"unknown instance family {self.family!r}; known: {known}"
             )
+        object.__setattr__(self, "family", canonical)
         if self.faults is not None:
             # Normalise eagerly so equal budgets always fingerprint
             # identically, and typos fail at spec construction.
@@ -104,11 +112,11 @@ class CampaignCell:
         """One instance per (size × seed), duplicates dropped.
 
         Seed-invariant families (e.g. odd cycles) collapse to one
-        instance per size, exactly like the CLI sweep builder.  A size
-        the family cannot sample (odd cycles at even ``n``, two-cliques
-        at odd ``n``) raises a :class:`ValueError` naming the cell, so
-        the caller sees which spec line to fix instead of a bare
-        generator traceback.
+        instance per size.  A size the family cannot sample (odd cycles
+        at even ``n``, two-cliques at odd ``n``) raises a
+        :class:`ValueError` naming the cell and the size, so the caller
+        sees which spec line to fix instead of a bare generator
+        traceback.
         """
         cls = family(self.family)
         built = []
@@ -255,7 +263,7 @@ class CampaignResult:
 
 def _run_cells_with_store(
     cells: Sequence[Sequence[ExecutionTask]],
-    store: ResultStore,
+    store: Optional[ResultStore],
     backend: Optional[Backend] = None,
     campaign: Optional[str] = None,
     telemetry: Optional[RunTelemetry] = None,
@@ -266,6 +274,8 @@ def _run_cells_with_store(
     deserialized, and the misses of every cell run in one
     ``backend.run`` whose outcomes are committed as they stream.
     Returns, per cell, its reports *in task order* plus its hit count.
+    Without a ``store`` every task is a miss: nothing is fingerprinted
+    or committed, and every hit count is 0.
 
     Tasks are numbered campaign-wide (cell after cell); a miss whose
     ``index`` differs from its number is re-indexed, so the task
@@ -289,6 +299,8 @@ def _run_cells_with_store(
     budget-bound one may return a different witness, because warm
     entries change which nodes the budget reaches.
     """
+    if store is None and warm_frontiers:
+        raise ValueError("warm frontiers are loaded from a store")
     backend = backend if backend is not None else SerialBackend()
     reports: dict[int, VerificationReport] = {}
     fingerprints: dict[int, str] = {}
@@ -306,7 +318,7 @@ def _run_cells_with_store(
         misses.clear()
         if not tasks:
             return
-        sink: ResultSink = StoreBackedSink(
+        sink: ResultSink = ListSink() if store is None else StoreBackedSink(
             store, fingerprints, campaign=campaign, frontier_keys=frontier_keys
         )
         inner = sink
@@ -324,6 +336,11 @@ def _run_cells_with_store(
     layout: list[tuple[int, int, int]] = []
     index = 0
     for cell_tasks in cells:
+        if store is None:
+            misses.extend(enumerate(cell_tasks, index))
+            layout.append((index, index + len(cell_tasks), 0))
+            index += len(cell_tasks)
+            continue
         prints = [store.fingerprint(task) for task in cell_tasks]
         if not {fingerprints[i] for i, _ in misses}.isdisjoint(prints):
             submit()
@@ -374,12 +391,7 @@ def run_plan_with_store(
         [plan.tasks], store, backend=backend, campaign=campaign,
         telemetry=telemetry, kernel=kernel, warm_frontiers=warm_frontiers,
     )
-    merged = VerificationReport(
-        "+".join(plan.protocol_names), "+".join(plan.model_names)
-    )
-    for report in reports:
-        merged.merge(report)
-    return merged
+    return plan.merge_reports(reports)
 
 
 class Campaign:
@@ -440,12 +452,8 @@ class Campaign:
         overall = VerificationReport(spec.name, spec.mode)
         cell_results: list[CellResult] = []
         for (cell, plan), (reports, hits) in zip(plans, outcomes):
-            merged = VerificationReport(
-                "+".join(plan.protocol_names), "+".join(plan.model_names)
-            )
-            for report in reports:
-                merged.merge(report)
-                overall.merge(report)
+            merged = plan.merge_reports(reports)
+            overall.merge(merged)
             cell_results.append(
                 CellResult(cell, merged, tasks=len(plan.tasks), hits=hits)
             )

@@ -26,7 +26,7 @@
   version), ``claims`` (exhaustively check every census fault claim;
   violations exit nonzero with replayable deadlock witnesses)
 
-``stress`` and ``campaign run`` degrade gracefully: Ctrl-C (or an
+``stress``, ``sweep`` and ``campaign run`` degrade gracefully: Ctrl-C (or an
 exhausted search budget) commits every already-streamed outcome to the
 store, prints a partial summary, and exits 130 — re-running the same
 command resumes from the committed prefix.
@@ -48,6 +48,11 @@ Protocol names come from one registry — :data:`repro.protocols.census.
 CENSUS_BY_KEY` — so ``demo`` choices, ``sweep`` choices and the
 ``protocols`` listing cannot drift apart; output oracles come from
 :func:`repro.analysis.checkers.default_checker` for the same reason.
+Family names come from :data:`repro.graphs.families.FAMILIES` (plus its
+``FAMILY_ALIASES``): a ``sweep`` or ``stress`` run is one
+:class:`~repro.campaigns.CampaignCell` per ``--protocol``, sampled and
+fingerprinted exactly like the same cell of ``campaign run``, and every
+cell runs in one backend submission.
 """
 
 from __future__ import annotations
@@ -55,69 +60,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 
 __all__ = ["main", "build_parser"]
 
 #: ``demo`` registry: CLI name -> (census key, instance family).  The
-#: protocol itself always comes from the census entry, so the demo list
-#: and the ``protocols`` listing share one source of truth.
-_DEMOS: dict[str, tuple[str, Callable]] = {
-    "build": ("build-degenerate",
-              lambda gen, n, seed: gen.random_k_degenerate(n, 2, seed=seed)),
-    "mis": ("mis-greedy",
-            lambda gen, n, seed: gen.random_connected_graph(n, 0.3, seed=seed)),
-    "two-cliques": ("two-cliques",
-                    lambda gen, n, seed: gen.two_cliques(max(2, n // 2))),
-    "eob-bfs": ("eob-bfs",
-                lambda gen, n, seed: gen.random_even_odd_bipartite(
-                    n, 0.4, seed=seed)),
-    "bfs": ("bfs-sync",
-            lambda gen, n, seed: gen.random_graph(n, 0.3, seed=seed)),
+#: protocol always comes from the census entry and the graph from
+#: :data:`repro.graphs.families.FAMILIES`, so the demo list, the
+#: ``protocols`` listing and every ``--family`` share their sources.
+_DEMOS: dict[str, tuple[str, str]] = {
+    "build": ("build-degenerate", "degenerate2"),
+    "mis": ("mis-greedy", "connected"),
+    "two-cliques": ("two-cliques", "two-cliques-yes"),
+    "eob-bfs": ("eob-bfs", "even-odd-bipartite"),
+    "bfs": ("bfs-sync", "random"),
 }
-
-#: ``sweep`` instance families: name -> builder over the generators module.
-_FAMILIES: dict[str, Callable] = {
-    "k-degenerate": lambda gen, n, seed: gen.random_k_degenerate(n, 2, seed=seed),
-    "random": lambda gen, n, seed: gen.random_graph(n, 0.3, seed=seed),
-    "connected": lambda gen, n, seed: gen.random_connected_graph(n, 0.3, seed=seed),
-    "eob": lambda gen, n, seed: gen.random_even_odd_bipartite(n, 0.4, seed=seed),
-    "path": lambda gen, n, seed: gen.path_graph(n),
-    "cycle": lambda gen, n, seed: gen.cycle_graph(n),
-    # CLI convenience: clamp to the nearest valid (odd, large-enough) size
-    # so e.g. --sizes 4 8 still sweeps something sensible.
-    "odd-cycle": lambda gen, n, seed: gen.odd_cycle_graph(
-        max(3, n if n % 2 else n - 1)),
-    "odd-cycle-probe": lambda gen, n, seed: gen.odd_cycle_with_probe(
-        max(5, n if n % 2 else n - 1)),
-    "two-cliques": lambda gen, n, seed: gen.two_cliques(max(2, n // 2)),
-}
-
-
-def _build_instances(args) -> list:
-    """One instance per (size × seed) of the requested family.
-
-    Seed-invariant families (path, cycle, two-cliques) produce the same
-    instance for every seed; drop duplicates instead of re-verifying them.
-    """
-    from .graphs import generators as gen
-
-    built = [
-        _FAMILIES[args.family](gen, n, seed)
-        for n in args.sizes for seed in args.seeds
-    ]
-    return [g for i, g in enumerate(built) if g not in built[:i]]
-
-
-def _sweep_checker(census_key: str):
-    """Output oracle for a census protocol (vacuous when none is known).
-
-    The table itself lives in :func:`repro.analysis.checkers.
-    default_checker`, shared with the campaign subsystem.
-    """
-    from .analysis.checkers import default_checker
-
-    return default_checker(census_key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,20 +105,37 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--trace", action="store_true",
                       help="narrate the execution round by round")
 
+    from .graphs.families import FAMILIES, FAMILY_ALIASES
     from .protocols.census import CENSUS_BY_KEY
+
+    family_names = sorted({*FAMILIES, *FAMILY_ALIASES})
+
+    def _cell_args(p, sizes: list[int]) -> None:
+        """The cell and run arguments ``sweep`` and ``stress`` share."""
+        p.add_argument("--protocol", dest="protocols", action="append",
+                       required=True, choices=sorted(CENSUS_BY_KEY),
+                       help="census protocol key (repeatable)")
+        p.add_argument("--family", default="random", choices=family_names,
+                       help="instance family from the graph-class registry, "
+                            "or an alias of one (default: random, i.e. "
+                            "G(n, 0.3))")
+        p.add_argument("--sizes", type=int, nargs="+", default=sizes,
+                       help="instance sizes n")
+        p.add_argument("--seeds", type=int, nargs="+", default=[0],
+                       help="instance seeds (one instance per size x seed)")
+        p.add_argument("--store", default=None, metavar="PATH",
+                       help="SQLite result store for opportunistic reuse: "
+                            "cells already stored are served from it, "
+                            "everything executed becomes a future hit")
+        p.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write a JSONL telemetry event stream (plus a "
+                            "sibling *.manifest.json); results are "
+                            "identical with or without it")
 
     sw = sub.add_parser(
         "sweep",
         help="verification sweep over (protocol x instances x adversaries)")
-    sw.add_argument("--protocol", dest="protocols", action="append",
-                    required=True, choices=sorted(CENSUS_BY_KEY),
-                    help="census protocol key (repeatable)")
-    sw.add_argument("--family", default="random", choices=sorted(_FAMILIES),
-                    help="instance family (default: random)")
-    sw.add_argument("--sizes", type=int, nargs="+", default=[6, 9],
-                    help="instance sizes n")
-    sw.add_argument("--seeds", type=int, nargs="+", default=[0],
-                    help="instance seeds (one instance per size x seed)")
+    _cell_args(sw, sizes=[6, 9])
     sw.add_argument("--mode", default="verify",
                     choices=["verify", "single", "exhaustive"],
                     help="verify = exhaustive below the threshold, "
@@ -170,27 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exhaustive-enumeration size threshold")
     sw.add_argument("--jobs", type=int, default=None,
                     help="worker processes (default: serial)")
-    sw.add_argument("--store", default=None, metavar="PATH",
-                    help="SQLite result store for opportunistic reuse: "
-                         "cells already stored are served from it, "
-                         "everything executed becomes a future hit")
-    sw.add_argument("--trace-out", default=None, metavar="PATH",
-                    help="write a JSONL telemetry event stream (plus a "
-                         "sibling *.manifest.json); results are identical "
-                         "with or without it")
 
     st = sub.add_parser(
         "stress",
         help="adversary stress: exhaustive at small n, guided search above")
-    st.add_argument("--protocol", dest="protocols", action="append",
-                    required=True, choices=sorted(CENSUS_BY_KEY),
-                    help="census protocol key (repeatable)")
-    st.add_argument("--family", default="random", choices=sorted(_FAMILIES),
-                    help="instance family (default: random)")
-    st.add_argument("--sizes", type=int, nargs="+", default=[5, 9],
-                    help="instance sizes n")
-    st.add_argument("--seeds", type=int, nargs="+", default=[0],
-                    help="instance seeds (one instance per size x seed)")
+    _cell_args(st, sizes=[5, 9])
     st.add_argument("--threshold", type=int, default=5,
                     help="exhaustive-enumeration size threshold; larger "
                          "instances use adversary search")
@@ -209,16 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adversary fault budget, e.g. 'crash:2,loss:1' "
                          "(kinds: crash, loss, dup); fault events join "
                          "the searched schedule space")
-    st.add_argument("--store", default=None, metavar="PATH",
-                    help="SQLite result store for opportunistic reuse: "
-                         "cells already stored are served from it, "
-                         "everything executed becomes a future hit")
-    st.add_argument("--trace-out", default=None, metavar="PATH",
-                    help="write a JSONL telemetry event stream (plus a "
-                         "sibling *.manifest.json); results are identical "
-                         "with or without it")
-
-    from .graphs.families import FAMILIES as GRAPH_CLASSES
 
     camp = sub.add_parser(
         "campaign",
@@ -230,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
                        required=required, choices=sorted(CENSUS_BY_KEY),
                        help="census protocol key (repeatable)")
         p.add_argument("--family", dest="families", action="append",
-                       choices=sorted(GRAPH_CLASSES),
-                       help="instance family from the graph-class registry "
-                            "(repeatable; default: degenerate2)")
+                       choices=family_names,
+                       help="instance family from the graph-class registry, "
+                            "or an alias of one (repeatable; default: "
+                            "degenerate2)")
         p.add_argument("--sizes", type=int, nargs="+", default=[4, 6],
                        help="instance sizes n")
         p.add_argument("--seeds", type=int, nargs="+", default=[0],
@@ -421,14 +370,18 @@ def _cmd_lemma3(args) -> int:
 
 def _cmd_demo(args) -> int:
     from .core import MODELS_BY_NAME, RandomScheduler, run
-    from .graphs import generators as gen
+    from .graphs.families import family
     from .protocols.census import CENSUS_BY_KEY
 
-    census_key, make_graph = _DEMOS[args.protocol]
+    census_key, family_name = _DEMOS[args.protocol]
     entry = CENSUS_BY_KEY[census_key]
     proto = entry.instantiate()
     model = MODELS_BY_NAME[entry.model]
-    g = make_graph(gen, args.n, args.seed)
+    try:
+        g = family(family_name).sample_in_class(args.n, args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"demo: size {args.n} is invalid for family "
+                         f"{family_name} ({exc})")
 
     result = run(g, proto, model, RandomScheduler(args.seed))
     if args.trace:
@@ -471,8 +424,6 @@ def _open_session(args, command: str):
 
 def _activated(session):
     """The session's tracer scope, or a no-op block without one."""
-    from contextlib import nullcontext
-
     return session.activate() if session is not None else nullcontext()
 
 
@@ -485,160 +436,136 @@ def _kernel_line(kernel) -> None:
         print(f"    kernel: {kernel.summary()}", file=sys.stderr)
 
 
-def _run_plan(plan, backend, store, telemetry=None, kernel=None):
-    """Run ``plan``, through ``store`` when one is given; returns the
-    merged report plus a cache-accounting suffix for the listing line.
+def _interruptible(label: str, session, store, run):
+    """``run()`` under the session's tracer, or ``None`` when Ctrl-C or
+    an exhausted search budget stopped it.
 
-    ``telemetry``/``kernel`` are observation-only sink layers — the
-    report is field-identical with or without them."""
-    if telemetry is not None:
-        telemetry.add_plan(plan)
-    if store is None:
-        from .runtime.results import KernelStatsSink, ReportMergeSink
-
-        sink = ReportMergeSink(
-            "+".join(plan.protocol_names), "+".join(plan.model_names)
-        )
-        if kernel is not None:
-            sink = KernelStatsSink(sink, kernel)
-        if telemetry is not None:
-            sink = telemetry.sink(sink)
-        return plan.run(backend=backend, sink=sink), ""
-    from .campaigns.runner import run_plan_with_store
-
-    hits_before, writes_before = store.hits, store.writes
-    report = run_plan_with_store(plan, store, backend=backend,
-                                 telemetry=telemetry, kernel=kernel)
-    hits = store.hits - hits_before
-    executed = store.writes - writes_before
-    return report, f" [store: {hits} hits, {executed} executed]"
-
-
-def _cmd_sweep(args) -> int:
-    from .core.models import MODELS_BY_NAME
-    from .protocols.census import CENSUS_BY_KEY
-    from .runtime import ExecutionPlan, resolve_backend
-
-    backend = resolve_backend(args.jobs)
-    instances = _build_instances(args)
-    from .analysis.checkers import AcceptAny
-
-    from .telemetry import KernelAccumulator
-
-    all_ok = True
-    store = _open_store(args.store)
-    session = _open_session(args, "sweep")
-    kernel = KernelAccumulator()
-    try:
-        with _activated(session):
-            for key in args.protocols:
-                entry = CENSUS_BY_KEY[key]
-                checker = _sweep_checker(key)
-                plan = ExecutionPlan.build(
-                    entry.instantiate(),
-                    MODELS_BY_NAME[entry.model],
-                    instances,
-                    mode=args.mode,
-                    checker=checker,
-                    exhaustive_threshold=args.threshold,
-                    keep_runs=False,
-                )
-                report, cached = _run_plan(plan, backend, store,
-                                           telemetry=session, kernel=kernel)
-                all_ok &= report.ok
-                vacuous = (
-                    "  (no oracle registered: success/size only)"
-                    if isinstance(checker, AcceptAny) else ""
-                )
-                print(f"[{len(plan):>3} tasks via {backend.name}]{cached} "
-                      f"{report.summary()}{vacuous}")
-                for n, bits in sorted(report.max_bits_by_n.items()):
-                    print(f"    n={n}: max message {bits} bits")
-    finally:
-        if session is not None:
-            session.finish()
-        if store is not None:
-            store.close()
-    _kernel_line(kernel.kernel)
-    return 0 if all_ok else 1
-
-
-def _cmd_stress(args) -> int:
+    The stop prints one partial-progress line.  Outcomes stream into
+    the store as they complete, so everything committed before it is
+    durable — re-running the same command resumes from there instead
+    of starting over.
+    """
     from .adversaries import OutOfBudget
-    from .faults.spec import resolve_faults
-    from .runtime import resolve_backend
 
-    try:
-        resolve_faults(args.faults)  # typos fail as usage errors
-    except ValueError as exc:
-        raise SystemExit(f"stress: {exc}")
-    from .telemetry import KernelAccumulator
-
-    backend = resolve_backend(args.jobs)
-    instances = _build_instances(args)
-    store = _open_store(args.store)
-    session = _open_session(args, "stress")
-    kernel = KernelAccumulator()
     try:
         with _activated(session):
-            all_ok = _stress_protocols(args, backend, instances, store,
-                                       telemetry=session, kernel=kernel)
+            return run()
     except (KeyboardInterrupt, OutOfBudget) as exc:
         if session is not None:
             session.finish("interrupted")
         print()
-        print(_interrupt_summary("stress", exc, store))
-        return 130
+        print(f"{label}: interrupted ({type(exc).__name__}); ", end="")
+        if store is None:
+            print("no --store, so partial results are discarded")
+        else:
+            print(f"{store.writes} executed outcome(s) committed, "
+                  f"{store.hits} served from cache — re-run the same "
+                  "command to resume")
+        return None
     finally:
         if session is not None:
             session.finish()
+
+
+@contextmanager
+def _usage_errors(command: str):
+    """Turn a ``ValueError`` raised in the block into a usage error.
+
+    Spec mistakes (unknown cells, sizes a family cannot sample, fault
+    budget typos) surface while cells and plans are built, before
+    anything runs; anything raised later in the run is a real failure
+    and keeps its traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}")
+
+
+def _cli_cells(args, families, allow_deadlock: bool = False):
+    """One :class:`~repro.campaigns.CampaignCell` per ``--protocol`` ×
+    family; call it under :func:`_usage_errors`."""
+    from .campaigns import CampaignCell
+
+    return tuple(
+        CampaignCell(
+            protocol_key=key,
+            family=fam,
+            sizes=tuple(args.sizes),
+            seeds=tuple(args.seeds),
+            allow_deadlock=allow_deadlock,
+        )
+        for key in args.protocols
+        for fam in families
+    )
+
+
+def _run_cells(args, command: str, plans, show) -> int:
+    """Run ``plans`` in one backend submission, through ``--store``
+    when given, and list each plan's merged report (130 when
+    interrupted, see :func:`_interruptible`).
+
+    ``show(head, plan, report)`` prints one plan's listing, ``head``
+    being its ``[N tasks via BACKEND]`` prefix plus the store
+    accounting.
+    """
+    from .campaigns.runner import _run_cells_with_store
+    from .runtime import resolve_backend
+    from .telemetry import KernelAccumulator
+
+    backend = resolve_backend(args.jobs)
+    store = _open_store(args.store)
+    session = _open_session(args, command)
+    kernel = KernelAccumulator()
+    if session is not None:
+        for plan in plans:
+            session.add_plan(plan)
+    try:
+        outcomes = _interruptible(
+            command, session, store,
+            lambda: _run_cells_with_store(
+                [plan.tasks for plan in plans], store, backend=backend,
+                telemetry=session, kernel=kernel,
+            ),
+        )
+    finally:
         if store is not None:
             store.close()
+    if outcomes is None:
+        return 130
+    all_ok = True
+    for plan, (reports, hits) in zip(plans, outcomes):
+        merged = plan.merge_reports(reports)
+        all_ok &= merged.ok
+        cached = ("" if store is None else
+                  f" [store: {hits} hits, {len(plan) - hits} executed]")
+        show(f"[{len(plan):>3} tasks via {backend.name}]{cached}", plan,
+             merged)
     _kernel_line(kernel.kernel)
     return 0 if all_ok else 1
 
 
-def _interrupt_summary(command: str, exc: BaseException, store) -> str:
-    """One partial-progress line for an interrupted run.
+def _cmd_sweep(args) -> int:
+    from .analysis.checkers import AcceptAny
 
-    Outcomes stream into the store as they complete, so everything
-    committed before the interrupt is durable — re-running the same
-    command resumes from there instead of starting over.
-    """
-    reason = type(exc).__name__
-    if store is None:
-        return (f"{command}: interrupted ({reason}); no --store, so "
-                "partial results are discarded")
-    return (f"{command}: interrupted ({reason}); {store.writes} executed "
-            f"outcome(s) committed, {store.hits} served from cache — "
-            "re-run the same command to resume")
-
-
-def _stress_protocols(args, backend, instances, store,
-                      telemetry=None, kernel=None) -> bool:
-    from .core.models import MODELS_BY_NAME
-    from .protocols.census import CENSUS_BY_KEY
-    from .runtime import ExecutionPlan
-
-    all_ok = True
-    for key in args.protocols:
-        entry = CENSUS_BY_KEY[key]
-        proto = entry.instantiate()
-        plan = ExecutionPlan.build(
-            proto,
-            MODELS_BY_NAME[entry.model],
-            instances,
-            mode="stress",
-            checker=_sweep_checker(key),
-            exhaustive_threshold=args.threshold,
-            score=args.score,
-            faults=args.faults,
+    def show(head, plan, report) -> None:
+        vacuous = (
+            "  (no oracle registered: success/size only)"
+            if isinstance(plan.tasks[0].checker, AcceptAny) else ""
         )
-        report, cached = _run_plan(plan, backend, store,
-                                   telemetry=telemetry, kernel=kernel)
-        all_ok &= report.ok
-        print(f"[{len(plan):>3} tasks via {backend.name}]{cached} "
-              f"{report.summary()}")
+        print(f"{head} {report.summary()}{vacuous}")
+        for n, bits in sorted(report.max_bits_by_n.items()):
+            print(f"    n={n}: max message {bits} bits")
+
+    with _usage_errors("sweep"):  # samples every instance, once
+        plans = [cell.build_plan(args.mode, args.threshold)
+                 for cell in _cli_cells(args, [args.family])]
+    return _run_cells(args, "sweep", plans, show)
+
+
+def _cmd_stress(args) -> int:
+    def show(head, plan, report) -> None:
+        print(f"{head} {report.summary()}")
         for witness in report.witnesses:
             outcome = ("DEADLOCK" if witness.deadlock
                        else f"{witness.bits:>3} bits")
@@ -663,25 +590,24 @@ def _stress_protocols(args, backend, instances, store,
                 key=lambda w: (w.deadlock, w.bits),
             )
             print()
-            print(narrate_witness(worst, entry.instantiate()))
-    return all_ok
+            print(narrate_witness(worst, plan.tasks[0].protocol))
+
+    with _usage_errors("stress"):  # samples every instance, once
+        plans = [cell.build_plan("stress", args.threshold, score=args.score,
+                                 faults=args.faults)
+                 for cell in _cli_cells(args, [args.family])]
+    return _run_cells(args, "stress", plans, show)
 
 
 def _campaign_spec(args):
     """Build a CampaignSpec from CLI arguments (or the --quick preset).
 
     Spec mistakes — unknown cells, sizes a family cannot sample —
-    surface here as clean usage errors; anything raised later in the
-    run is a real failure and keeps its traceback.
+    surface here as clean usage errors (see :func:`_usage_errors`).
     """
-    from .campaigns import (
-        CampaignCell,
-        CampaignSpec,
-        quick_campaign,
-        warm_smoke_campaign,
-    )
+    from .campaigns import CampaignSpec, quick_campaign, warm_smoke_campaign
 
-    try:
+    with _usage_errors("campaign"):
         if getattr(args, "quick", False) or getattr(args, "warm_smoke", False):
             preset = (
                 quick_campaign if getattr(args, "quick", False)
@@ -697,21 +623,10 @@ def _campaign_spec(args):
             raise SystemExit(
                 "campaign: provide at least one --protocol (or use --quick)"
             )
-        families = args.families or ["degenerate2"]
-        cells = tuple(
-            CampaignCell(
-                protocol_key=key,
-                family=fam,
-                sizes=tuple(args.sizes),
-                seeds=tuple(args.seeds),
-                allow_deadlock=args.allow_deadlock,
-            )
-            for key in args.protocols
-            for fam in families
-        )
         spec = CampaignSpec(
             name=args.name,
-            cells=cells,
+            cells=_cli_cells(args, args.families or ["degenerate2"],
+                             allow_deadlock=args.allow_deadlock),
             mode=args.mode,
             exhaustive_threshold=args.threshold,
             score=args.score,
@@ -720,8 +635,6 @@ def _campaign_spec(args):
         for campaign_cell in spec.cells:
             campaign_cell.instances()  # eager: invalid sizes fail here
         return spec
-    except ValueError as exc:
-        raise SystemExit(f"campaign: {exc}")
 
 
 def _existing_store(path: str):
@@ -740,7 +653,6 @@ def _existing_store(path: str):
 
 
 def _cmd_campaign_run(args) -> int:
-    from .adversaries import OutOfBudget
     from .campaigns import Campaign, ResultStore
     from .runtime import resolve_backend
 
@@ -748,21 +660,15 @@ def _cmd_campaign_run(args) -> int:
     backend = resolve_backend(args.jobs)
     session = _open_session(args, "campaign run")
     with ResultStore(args.store) as store:
-        try:
-            with _activated(session):
-                result = Campaign(spec).run(
-                    store, backend=backend, telemetry=session,
-                    warm_frontiers=getattr(args, "warm_frontiers", False),
-                )
-        except (KeyboardInterrupt, OutOfBudget) as exc:
-            if session is not None:
-                session.finish("interrupted")
-            print()
-            print(_interrupt_summary(f"campaign {spec.name!r}", exc, store))
+        result = _interruptible(
+            f"campaign {spec.name!r}", session, store,
+            lambda: Campaign(spec).run(
+                store, backend=backend, telemetry=session,
+                warm_frontiers=getattr(args, "warm_frontiers", False),
+            ),
+        )
+        if result is None:
             return 130
-        finally:
-            if session is not None:
-                session.finish()
         print(f"[store {args.store}, backend {backend.name}]")
         for cell_result in result.cells:
             cell = cell_result.cell

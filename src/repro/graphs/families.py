@@ -6,9 +6,11 @@ Scattering their membership predicates, samplers and Lemma 3 counts
 across modules invites drift, so :class:`GraphClass` bundles the three
 views and :data:`FAMILIES` registers every class the experiments use.
 
-Used by the verification harness (generic protocol × compatible-family
-sweeps), the counting benchmarks, and the property tests that check the
-sampler really stays inside its class.
+Used by the CLI (``demo``, ``sweep``, ``stress`` and ``campaign`` all
+name their instances here), campaigns, the counting benchmarks, and the
+property tests that check the sampler really stays inside its class.
+:data:`FAMILY_ALIASES` keeps the CLI's older short names resolving to
+the same classes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .properties import (
     is_two_cliques,
 )
 
-__all__ = ["GraphClass", "FAMILIES", "family", "k_degenerate_class"]
+__all__ = ["GraphClass", "FAMILIES", "FAMILY_ALIASES", "family",
+           "k_degenerate_class"]
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,15 @@ class GraphClass:
     log2_count: Optional[Callable[[int], float]] = None
 
     def sample_in_class(self, n: int, seed: int) -> LabeledGraph:
-        """Sample and assert membership (sampler bug-guard)."""
+        """Sample and assert size and membership (sampler bug-guard).
+
+        A size the class cannot sample raises :class:`ValueError`.
+        """
         g = self.sample(n, seed)
-        if not self.contains(g):
+        if g.n != n or not self.contains(g):
             raise AssertionError(
-                f"sampler for {self.name!r} left its class (n={n}, seed={seed})"
+                f"sampler for {self.name!r} left its class "
+                f"(n={n}, seed={seed}, drew {g.n} nodes)"
             )
         return g
 
@@ -81,12 +88,18 @@ def _forest_contains(g: LabeledGraph) -> bool:
     return is_k_degenerate(g, 1)
 
 
+def _even_half(n: int) -> int:
+    """``n // 2`` for the two-cliques classes, which need an even ``n >= 2``."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"the 2-CLIQUES classes need an even n >= 2, got {n}")
+    return n // 2
+
+
 def _two_cliques_sample(n: int, seed: int) -> LabeledGraph:
-    if n % 2 != 0:
-        raise ValueError("the 2-CLIQUES promise class needs an even node count")
-    return gen.two_cliques(n // 2) if seed % 2 == 0 else (
-        gen.connected_two_cliques_like(n // 2, seed=seed)
-        if (n // 2) % 2 == 0 else gen.two_cliques(n // 2)
+    half = _even_half(n)
+    return gen.two_cliques(half) if seed % 2 == 0 else (
+        gen.connected_two_cliques_like(half, seed=seed)
+        if half % 2 == 0 else gen.two_cliques(half)
     )
 
 
@@ -97,6 +110,33 @@ FAMILIES: dict[str, GraphClass] = {
         contains=lambda g: True,
         sample=lambda n, seed: gen.random_graph(n, 0.5, seed=seed),
         log2_count=lambda n: n * (n - 1) / 2,
+    ),
+    "random": GraphClass(
+        name="random",
+        description="all labeled graphs, drawn sparser: G(n, 0.3)",
+        contains=lambda g: True,
+        sample=lambda n, seed: gen.random_graph(n, 0.3, seed=seed),
+    ),
+    "connected": GraphClass(
+        name="connected",
+        description="connected graphs: G(n, 0.3) plus a random spanning tree",
+        contains=is_connected,
+        sample=lambda n, seed: gen.random_connected_graph(n, 0.3, seed=seed),
+    ),
+    "path": GraphClass(
+        name="path",
+        description="paths on n nodes, any labelling; samples 1-2-...-n",
+        contains=lambda g: (
+            g.m == max(0, g.n - 1) and is_connected(g)
+            and all(g.degree(v) <= 2 for v in g.nodes())
+        ),
+        sample=lambda n, seed: gen.path_graph(n),
+    ),
+    "cycle": GraphClass(
+        name="cycle",
+        description="cycles on n >= 3 nodes, any labelling; samples 1-2-...-n-1",
+        contains=lambda g: g.n >= 3 and g.is_regular(2) and is_connected(g),
+        sample=lambda n, seed: gen.cycle_graph(n),
     ),
     "forests": GraphClass(
         name="forests",
@@ -174,14 +214,25 @@ FAMILIES: dict[str, GraphClass] = {
         name="two-cliques-yes",
         description="disjoint unions of two equal cliques",
         contains=is_two_cliques,
-        sample=lambda n, seed: gen.two_cliques(n // 2),
+        sample=lambda n, seed: gen.two_cliques(_even_half(n)),
         log2_count=lambda n: 0.0,  # one instance per (even) n
     ),
 }
 
 
+#: Older CLI names, each resolving to the registered class that samples
+#: exactly the same graphs.
+FAMILY_ALIASES: dict[str, str] = {
+    "k-degenerate": "degenerate2",
+    "eob": "even-odd-bipartite",
+    "odd-cycle": "odd-cycles",
+    "two-cliques": "two-cliques-yes",
+}
+
+
 def family(name: str) -> GraphClass:
-    """Look up a registered class."""
+    """Look up a registered class by its name or an alias."""
+    name = FAMILY_ALIASES.get(name, name)
     if name not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise KeyError(f"unknown graph class {name!r}; known: {known}")

@@ -569,6 +569,18 @@ class ExecutionPlan:
             sink.add(outcome)
         return sink.result()
 
+    def merge_reports(
+        self, reports: Iterable[VerificationReport]
+    ) -> VerificationReport:
+        """Fold per-task ``reports``, in task order, into one report
+        named like :meth:`verification_report`'s."""
+        merged = VerificationReport(
+            "+".join(self.protocol_names), "+".join(self.model_names)
+        )
+        for report in reports:
+            merged.merge(report)
+        return merged
+
     def verification_report(self, backend=None) -> VerificationReport:
         """Run the plan and merge per-task reports into one."""
         sink = ReportMergeSink(

@@ -127,8 +127,11 @@ class TestGracefulDegradation:
             yield  # pragma: no cover
 
         monkeypatch.setattr(SerialBackend, "run", explode)
-        code = main(["stress", "--protocol", "build-degenerate",
-                     "--sizes", "4"])
-        out = capsys.readouterr().out
-        assert code == 130
-        assert "no --store, so partial results are discarded" in out
+        # sweep runs its cells through the same interruptible path
+        for command in ("stress", "sweep"):
+            code = main([command, "--protocol", "build-degenerate",
+                         "--sizes", "4"])
+            out = capsys.readouterr().out
+            assert code == 130
+            assert (f"{command}: interrupted (KeyboardInterrupt); no --store, "
+                    "so partial results are discarded") in out

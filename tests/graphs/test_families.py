@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.families import FAMILIES, GraphClass, family, k_degenerate_class
+from repro.graphs.families import (
+    FAMILIES,
+    FAMILY_ALIASES,
+    GraphClass,
+    family,
+    k_degenerate_class,
+)
 from repro.graphs.generators import all_labeled_graphs, complete_graph, cycle_graph
 from repro.graphs.properties import is_even_odd_bipartite
 
@@ -95,7 +101,7 @@ class TestCounts:
 @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 10 ** 6))
 def test_samplers_in_class_property(name, seed):
     cls = family(name)
-    n = 8 if name == "two-cliques-promise" else 9
+    n = 8 if name.startswith("two-cliques") else 9  # both need even n
     assert cls.contains(cls.sample(n, seed))
 
 
@@ -126,3 +132,50 @@ class TestOddCycleClasses:
             family("odd-cycles").sample(6, 0)
         with pytest.raises(ValueError):
             family("odd-cycle-probe").sample(6, 0)
+
+
+class TestEverySize:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_sample_has_n_nodes_or_raises_value_error(self, name):
+        """A class either samples exactly ``n`` nodes inside itself or
+        rejects the size with ``ValueError`` (a usage error), never a
+        graph of another size and never an ``AssertionError``."""
+        cls = family(name)
+        for n in range(0, 13):
+            for seed in range(3):
+                try:
+                    g = cls.sample(n, seed)
+                except ValueError:
+                    continue
+                assert g.n == n and cls.contains(g), (name, n, seed)
+
+    def test_two_cliques_reject_odd_and_tiny_sizes(self):
+        for name in ("two-cliques-yes", "two-cliques-promise"):
+            for n in (0, 1, 3, 5, 9):
+                with pytest.raises(ValueError):
+                    family(name).sample_in_class(n, 0)
+
+    def test_guard_catches_a_wrong_size(self):
+        shrunk = GraphClass(
+            name="shrunk",
+            description="sampler drops a node",
+            contains=lambda g: True,
+            sample=lambda n, seed: complete_graph(n - 1),
+        )
+        with pytest.raises(AssertionError, match="drew 3 nodes"):
+            shrunk.sample_in_class(4, 0)
+
+
+class TestAliases:
+    @pytest.mark.parametrize("alias", sorted(FAMILY_ALIASES))
+    def test_alias_resolves_to_its_class(self, alias):
+        assert alias not in FAMILIES
+        assert family(alias) is FAMILIES[FAMILY_ALIASES[alias]]
+
+    def test_campaign_cell_stores_the_registered_name(self):
+        from repro.campaigns import CampaignCell
+
+        cell = CampaignCell("build-degenerate", "k-degenerate", (4,), (0,))
+        assert cell.family == "degenerate2"
+        assert cell == CampaignCell("build-degenerate", "degenerate2",
+                                    (4,), (0,))

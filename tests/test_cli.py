@@ -16,6 +16,49 @@ OLD_KERNEL_ROW = (
 )
 
 
+#: The instance builders ``sweep``/``stress`` (``OLD_FAMILIES``) and
+#: ``demo`` (``OLD_DEMOS``) used before every family came from the
+#: graph-class registry, kept as the reference the registry must match.
+OLD_FAMILIES = {
+    "k-degenerate": lambda gen, n, seed: gen.random_k_degenerate(n, 2, seed=seed),
+    "random": lambda gen, n, seed: gen.random_graph(n, 0.3, seed=seed),
+    "connected": lambda gen, n, seed: gen.random_connected_graph(n, 0.3, seed=seed),
+    "eob": lambda gen, n, seed: gen.random_even_odd_bipartite(n, 0.4, seed=seed),
+    "path": lambda gen, n, seed: gen.path_graph(n),
+    "cycle": lambda gen, n, seed: gen.cycle_graph(n),
+    "odd-cycle": lambda gen, n, seed: gen.odd_cycle_graph(
+        max(3, n if n % 2 else n - 1)),
+    "odd-cycle-probe": lambda gen, n, seed: gen.odd_cycle_with_probe(
+        max(5, n if n % 2 else n - 1)),
+    "two-cliques": lambda gen, n, seed: gen.two_cliques(max(2, n // 2)),
+}
+OLD_DEMOS = {
+    "build": lambda gen, n, seed: gen.random_k_degenerate(n, 2, seed=seed),
+    "mis": lambda gen, n, seed: gen.random_connected_graph(n, 0.3, seed=seed),
+    "two-cliques": lambda gen, n, seed: gen.two_cliques(max(2, n // 2)),
+    "eob-bfs": lambda gen, n, seed: gen.random_even_odd_bipartite(
+        n, 0.4, seed=seed),
+    "bfs": lambda gen, n, seed: gen.random_graph(n, 0.3, seed=seed),
+}
+
+#: ``stress`` stdout for two protocols, captured while each protocol
+#: still ran as its own plan and backend submission.
+TWO_PROTOCOL_STRESS = """\
+[  2 tasks via serial] build-degenerate(k=2) under SIMASYNC: OK (2 instances, 28 executions, 1 exhaustive, max message 55 bits, 5 witnesses)
+    n=  4 exhaustive            45 bits  schedule 1,2,3,4  minimal 2 (1/4 events)
+    n=  6 greedy-bits           55 bits  schedule 5,4,6,2,3,1  minimal 5 (1/6 events)
+    n=  6 beam                  55 bits  schedule 2,5,4,6,3,1  minimal 5 (1/6 events)
+    n=  6 branch-and-bound      55 bits  schedule 1,2,3,4,5,6  minimal 5 (1/6 events)
+    n=  6 deadlock-dfs          55 bits  schedule 1,2,3,4,5,6  minimal 5 (1/6 events)
+[  2 tasks via serial] eob-bfs-async under ASYNC: OK (2 instances, 28 executions, 1 exhaustive, max message 42 bits, 5 witnesses)
+    n=  4 exhaustive            42 bits  schedule 1,2,3,4  minimal 4 (1/4 events)
+    n=  6 greedy-bits           42 bits  schedule 4,5,6,2,3,1  minimal 4 (1/6 events)
+    n=  6 beam                  42 bits  schedule 3,4,5,6,2,1  minimal 4 (1/6 events)
+    n=  6 branch-and-bound      42 bits  schedule 1,2,3,4,5,6  minimal 4 (1/6 events)
+    n=  6 deadlock-dfs          42 bits  schedule 1,2,3,4,5,6  minimal 4 (1/6 events)
+"""
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -29,11 +72,13 @@ class TestParser:
 
     def test_demo_choices_come_from_registry(self):
         from repro.cli import _DEMOS
+        from repro.graphs.families import FAMILIES
         from repro.protocols.census import CENSUS_BY_KEY
 
         p = build_parser()
-        for name, (census_key, _) in _DEMOS.items():
+        for name, (census_key, family_name) in _DEMOS.items():
             assert census_key in CENSUS_BY_KEY
+            assert family_name in FAMILIES
             assert p.parse_args(["demo", "--protocol", name]).protocol == name
         with pytest.raises(SystemExit):
             p.parse_args(["demo", "--protocol", "not-a-protocol"])
@@ -201,6 +246,100 @@ class TestCommands:
         # cell misses, it is not served the bits-greedy result.
         assert main(base + ["--score", "deadlock-first"]) == 0
         assert "[store: 0 hits, 1 executed]" in capsys.readouterr().out
+
+
+def _matches_or_rejects(old_builder, cls, n, seed):
+    """The registry draws the old builder's graph, or rejects a size the
+    old builder silently clamped to another node count."""
+    from repro.graphs import generators as gen
+
+    old = old_builder(gen, n, seed)
+    if old.n == n:
+        assert cls.sample_in_class(n, seed) == old, (cls.name, n, seed)
+    else:
+        with pytest.raises(ValueError):
+            cls.sample_in_class(n, seed)
+
+
+class TestOneFamilyRegistry:
+    @pytest.mark.parametrize("name", sorted(OLD_FAMILIES))
+    def test_registry_draws_the_old_sweep_graphs(self, name):
+        from repro.graphs.families import family
+
+        for n in range(3, 11):
+            for seed in range(3):
+                _matches_or_rejects(OLD_FAMILIES[name], family(name), n, seed)
+
+    @pytest.mark.parametrize("name", sorted(OLD_DEMOS))
+    def test_registry_draws_the_old_demo_graphs(self, name):
+        from repro.cli import _DEMOS
+        from repro.graphs.families import family
+
+        cls = family(_DEMOS[name][1])
+        for n in range(3, 11):
+            for seed in range(3):
+                _matches_or_rejects(OLD_DEMOS[name], cls, n, seed)
+
+    @pytest.mark.parametrize("argv, family_name, size", [
+        (["stress", "--protocol", "two-cliques", "--family", "two-cliques",
+          "--sizes", "4", "9"], "two-cliques", "9"),
+        (["stress", "--protocol", "bfs-bipartite-async",
+          "--family", "odd-cycle", "--sizes", "4"], "odd-cycle", "4"),
+        (["sweep", "--protocol", "bfs-sync", "--family", "cycle",
+          "--sizes", "2"], "cycle", "2"),
+        (["demo", "--protocol", "two-cliques", "--n", "7"],
+         "two-cliques", "7"),
+    ])
+    def test_unsampleable_size_is_a_usage_error(self, argv, family_name,
+                                                size, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith(f"{argv[0]}: ")
+        assert family_name in message and f"size {size} " in message
+        assert capsys.readouterr().out == ""  # nothing ran
+
+    def test_two_protocols_run_in_one_submission(self, monkeypatch, capsys):
+        from repro.runtime.backends import SerialBackend
+
+        calls = []
+        original = SerialBackend.run
+
+        def counting_run(self, tasks):
+            calls.append(len(tasks))
+            return original(self, tasks)
+
+        monkeypatch.setattr(SerialBackend, "run", counting_run)
+        assert main(["stress", "--protocol", "build-degenerate",
+                     "--protocol", "eob-bfs", "--family", "k-degenerate",
+                     "--sizes", "4", "6", "--seeds", "0",
+                     "--threshold", "4"]) == 0
+        assert calls == [4]
+        assert capsys.readouterr().out == TWO_PROTOCOL_STRESS
+
+    def test_stress_cell_is_a_campaign_cell(self, tmp_path, capsys):
+        from repro.campaigns import Campaign, CampaignCell, CampaignSpec
+        from repro.campaigns.store import ResultStore
+
+        store_path = str(tmp_path / "alias.db")
+        assert main(["stress", "--protocol", "build-degenerate",
+                     "--family", "k-degenerate", "--sizes", "4", "6",
+                     "--seeds", "0", "1", "--store", store_path]) == 0
+        with ResultStore(store_path) as store:
+            stored = store.fingerprints()
+        assert len(stored) == 4
+        capsys.readouterr()
+        assert main(["campaign", "run", "--store", store_path,
+                     "--protocol", "build-degenerate",
+                     "--family", "degenerate2", "--sizes", "4", "6",
+                     "--seeds", "0", "1", "--expect-hit-rate", "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "4 tasks, 4 hits, 0 executed" in out
+        spec = CampaignSpec("default", (CampaignCell(
+            "build-degenerate", "degenerate2", (4, 6), (0, 1)),))
+        with ResultStore(store_path) as store:
+            assert store.fingerprints() == stored
+            assert Campaign(spec).live_fingerprints(store) == stored
 
 
 class TestCampaignParser:
