@@ -4,8 +4,8 @@ A :class:`CampaignSpec` names a set of **cells** — instance family ×
 census protocol (its model and checker come from the registries) — and a
 plan mode (``stress`` by default: exhaustive below the threshold, guided
 adversary search above).  :class:`Campaign` lowers every cell to a
-:class:`~repro.runtime.plan.ExecutionPlan`, fingerprints each task, and
-executes **only the store misses** on any
+:class:`~repro.runtime.plan.ExecutionPlan` (once per object),
+fingerprints each task, and executes **only the store misses** on any
 :class:`~repro.runtime.backends.Backend` — the backend shards self-contained
 tasks exactly as before; the :class:`~repro.campaigns.store.ResultStore`
 is the only shared state, touched only by the driving process through a
@@ -35,6 +35,7 @@ The three guarantees campaigns are built around (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from ..analysis.checkers import default_checker
@@ -277,6 +278,10 @@ def _run_cells_with_store(
     Without a ``store`` every task is a miss: nothing is fingerprinted
     or committed, and every hit count is 0.
 
+    Each lookup hands the store the task's own graph, so a hit's
+    records share the instance the task was keyed by instead of
+    decoding it again (see :meth:`ResultStore.get`).
+
     Tasks are numbered campaign-wide (cell after cell); a miss whose
     ``index`` differs from its number is re-indexed, so the task
     ``index`` stays the ordering authority and hits build no new task.
@@ -347,7 +352,7 @@ def _run_cells_with_store(
         start, hits = index, 0
         cell_misses = []
         for task, fingerprint in zip(cell_tasks, prints):
-            report = store.get(fingerprint)
+            report = store.get(fingerprint, graph=task.graph)
             if report is None:
                 fingerprints[index] = fingerprint
                 cell_misses.append((index, task))
@@ -395,17 +400,31 @@ def run_plan_with_store(
 
 
 class Campaign:
-    """A runnable campaign: spec + the run/resume/report machinery."""
+    """A runnable campaign: spec + the run/resume/report machinery.
+
+    The spec is lowered to its ``(cell, plan)`` pairs once, on first use
+    (:attr:`plans`), and every run, liveness query and re-run of this
+    object reads those pairs: a fully cached re-run samples no instance
+    and builds no plan.  The lowering lives on the object, not in a
+    process-wide memo, so nothing outlives it and nothing can go stale.
+    """
 
     def __init__(self, spec: CampaignSpec) -> None:
         self.spec = spec
+
+    @cached_property
+    def plans(self) -> tuple[tuple[CampaignCell, ExecutionPlan], ...]:
+        """Each cell lowered to its execution plan, in spec order —
+        built on first access.  A size a family cannot sample raises
+        :class:`ValueError` here (see :meth:`CampaignCell.instances`)."""
+        return tuple(self.spec.plans())
 
     def live_fingerprints(self, store: ResultStore) -> set[str]:
         """Fingerprints of every task the spec currently enumerates —
         the liveness set ``campaign gc`` keeps."""
         return {
             store.fingerprint(task)
-            for _, plan in self.spec.plans()
+            for _, plan in self.plans
             for task in plan.tasks
         }
 
@@ -416,7 +435,7 @@ class Campaign:
         itself, since no future run can serve them."""
         return {
             task_cell_key(task)
-            for _, plan in self.spec.plans()
+            for _, plan in self.plans
             for task in plan.tasks
             if task.mode == "search"
         }
@@ -434,12 +453,15 @@ class Campaign:
         submission (see :func:`_run_cells_with_store`); the merged
         report folds per-task reports in exactly that order, so any
         backend — and any hit/miss split — produces the identical
-        result.  Completing the run appends one trajectory generation
-        and (when any task executed) records the run's folded kernel
-        snapshot in the store's meta table for ``campaign status``.
+        result.  The plans are this object's :attr:`plans`, so running
+        it again (a resume or a pure-cache re-run) samples nothing and
+        serves each hit with the instance its task carries.  Completing
+        the run appends one trajectory generation and (when any task
+        executed) records the run's folded kernel snapshot in the
+        store's meta table for ``campaign status``.
         """
         spec = self.spec
-        plans = list(spec.plans())
+        plans = self.plans
         if telemetry is not None:
             for _, plan in plans:
                 telemetry.add_plan(plan)

@@ -512,14 +512,21 @@ class ResultStore:
 
     # -- reads ---------------------------------------------------------
 
-    def get(self, fingerprint: str) -> Optional[VerificationReport]:
+    def get(self, fingerprint: str,
+            graph: Optional[LabeledGraph] = None
+            ) -> Optional[VerificationReport]:
         """The stored report for ``fingerprint``, or ``None``.
 
         Each distinct graph6 string of the row is decoded once: the
         row's failures, witnesses and graph-valued failure outputs that
         name one instance share one :class:`LabeledGraph`, as the
-        records of a freshly computed report do.  Counts a session
-        hit/miss either way.
+        records of a freshly computed report do.  ``graph`` is the
+        instance the fingerprint was computed from, when the caller
+        holds it: records naming it share that object and its string is
+        never decoded (graph6 is lossless, so the report is equal
+        either way).  Any other graph the row names is decoded once;
+        a ``graph`` the row never names changes nothing.  Counts a
+        session hit/miss either way.
         """
         tracer = _trace.active()
         start = time.perf_counter() if tracer is not None else 0.0
@@ -537,7 +544,9 @@ class ResultStore:
             return None
         self.hits += 1
         report_json, witnesses_jsonl = row
-        graphs: dict[str, LabeledGraph] = {}
+        graphs: dict[str, LabeledGraph] = (
+            {} if graph is None else {to_graph6(graph): graph}
+        )
         witnesses = [
             witness_from_jsonable(json.loads(line), graphs)
             for line in witnesses_jsonl.splitlines()

@@ -77,6 +77,18 @@ _DEMOS: dict[str, tuple[str, str]] = {
 }
 
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` argument type: a positive worker count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-whiteboard",
@@ -142,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "portfolio above (default)")
     sw.add_argument("--threshold", type=int, default=5,
                     help="exhaustive-enumeration size threshold")
-    sw.add_argument("--jobs", type=int, default=None,
+    sw.add_argument("--jobs", type=_jobs, default=None,
                     help="worker processes (default: serial)")
 
     st = sub.add_parser(
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--threshold", type=int, default=5,
                     help="exhaustive-enumeration size threshold; larger "
                          "instances use adversary search")
-    st.add_argument("--jobs", type=int, default=None,
+    st.add_argument("--jobs", type=_jobs, default=None,
                     help="worker processes (default: serial); heavy "
                          "exhaustive cells additionally shard their "
                          "schedule tree across the workers")
@@ -219,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "the store's persistent frontiers and commit what "
                            "the run learned back; reports are identical, "
                            "re-expansion work shrinks run over run")
-    crun.add_argument("--jobs", type=int, default=None,
+    crun.add_argument("--jobs", type=_jobs, default=None,
                       help="worker processes (default: serial)")
     crun.add_argument("--expect-hit-rate", type=float, default=None,
                       metavar="P",
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     cclaims.add_argument("--protocol", dest="protocols", action="append",
                          default=None, choices=sorted(CENSUS_BY_KEY),
                          help="restrict to specific protocols (repeatable)")
-    cclaims.add_argument("--jobs", type=int, default=None,
+    cclaims.add_argument("--jobs", type=_jobs, default=None,
                          help="worker processes (default: serial)")
     cclaims.add_argument("--trace", action="store_true",
                          help="narrate the minimised witness of every "
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--full", action="store_true", help="larger workloads")
     size.add_argument("--quick", action="store_true",
                       help="small workloads (the default; explicit for scripts)")
-    allp.add_argument("--jobs", type=int, default=None,
+    allp.add_argument("--jobs", type=_jobs, default=None,
                       help="fan experiments across worker processes")
 
     tel = sub.add_parser("telemetry", help="inspect run telemetry traces")
@@ -602,8 +614,8 @@ def _cmd_stress(args) -> int:
 def _campaign_spec(args):
     """Build a CampaignSpec from CLI arguments (or the --quick preset).
 
-    Spec mistakes — unknown cells, sizes a family cannot sample —
-    surface here as clean usage errors (see :func:`_usage_errors`).
+    Spec mistakes — unknown cells, fault-budget typos — surface here as
+    clean usage errors (see :func:`_usage_errors`).
     """
     from .campaigns import CampaignSpec, quick_campaign, warm_smoke_campaign
 
@@ -623,7 +635,7 @@ def _campaign_spec(args):
             raise SystemExit(
                 "campaign: provide at least one --protocol (or use --quick)"
             )
-        spec = CampaignSpec(
+        return CampaignSpec(
             name=args.name,
             cells=_cli_cells(args, args.families or ["degenerate2"],
                              allow_deadlock=args.allow_deadlock),
@@ -632,9 +644,19 @@ def _campaign_spec(args):
             score=args.score,
             faults=args.faults,
         )
-        for campaign_cell in spec.cells:
-            campaign_cell.instances()  # eager: invalid sizes fail here
-        return spec
+
+
+def _campaign(args):
+    """The :class:`~repro.campaigns.Campaign` of :func:`_campaign_spec`,
+    lowered to its plans before anything runs: a size a family cannot
+    sample is a usage error.  The run or liveness query that follows
+    reuses these plans, so each instance is sampled once."""
+    from .campaigns import Campaign
+
+    campaign = Campaign(_campaign_spec(args))
+    with _usage_errors("campaign"):
+        campaign.plans  # samples every instance, once
+    return campaign
 
 
 def _existing_store(path: str):
@@ -653,16 +675,16 @@ def _existing_store(path: str):
 
 
 def _cmd_campaign_run(args) -> int:
-    from .campaigns import Campaign, ResultStore
+    from .campaigns import ResultStore
     from .runtime import resolve_backend
 
-    spec = _campaign_spec(args)
+    campaign = _campaign(args)
     backend = resolve_backend(args.jobs)
     session = _open_session(args, "campaign run")
     with ResultStore(args.store) as store:
         result = _interruptible(
-            f"campaign {spec.name!r}", session, store,
-            lambda: Campaign(spec).run(
+            f"campaign {campaign.spec.name!r}", session, store,
+            lambda: campaign.run(
                 store, backend=backend, telemetry=session,
                 warm_frontiers=getattr(args, "warm_frontiers", False),
             ),
@@ -725,12 +747,10 @@ def _cmd_campaign_report(args) -> int:
 
 
 def _cmd_campaign_gc(args) -> int:
-    from .campaigns import Campaign
-
-    spec = _campaign_spec(args)
+    campaign = _campaign(args)
+    spec = campaign.spec
     with _existing_store(args.store) as store:
         before = store.result_count()
-        campaign = Campaign(spec)
         removed = store.gc(
             campaign.live_fingerprints(store), campaign=spec.name
         )

@@ -1,6 +1,7 @@
 """Campaign acceptance: resume-after-kill, pure-cache re-runs, sharding."""
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,9 @@ from repro.campaigns import (
     ResultStore,
     quick_campaign,
     run_plan_with_store,
+    warm_smoke_campaign,
 )
+from repro.campaigns.store import report_to_jsonable, witness_to_jsonable
 from repro.core import SIMASYNC
 from repro.graphs.generators import random_k_degenerate
 from repro.protocols.build import DegenerateBuildProtocol
@@ -332,6 +335,60 @@ class TestOneSubmission:
         assert manifest["store_hits"] == result.hits
         assert len(manifest["plans"]) == len(spec.cells)
         assert main(["telemetry", "report", str(path)]) == 0
+
+
+def result_json(result):
+    """Every cell's report, witness list and hit count (and the merged
+    report) as canonical JSON."""
+    def dumped(report):
+        return (json.dumps(report_to_jsonable(report), sort_keys=True),
+                [json.dumps(witness_to_jsonable(w), sort_keys=True)
+                 for w in report.witnesses])
+
+    return ([(dumped(c.report), c.tasks, c.hits) for c in result.cells],
+            dumped(result.report))
+
+
+class TestLoweredOnce:
+    """One ``Campaign`` object lowers its spec once; re-running it is
+    byte-identical to a fresh object's re-run."""
+
+    @pytest.mark.parametrize("make_backend", [
+        SerialBackend, lambda: ProcessPoolBackend(jobs=2),
+    ], ids=["serial", "pool"])
+    def test_rerun_equals_fresh_campaign_rerun(self, tmp_path, sample_calls,
+                                               make_backend):
+        campaign = Campaign(spec())
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            cold = campaign.run(store, backend=make_backend())
+        shutil.copyfile(tmp_path / "s.db", tmp_path / "copy.db")
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            cached = campaign.run(store, backend=make_backend())
+        # 4 BUILD instances and 1 probe gadget, each sampled once over
+        # both runs of the one object.
+        assert sorted(sample_calls) == sorted(set(sample_calls)) and len(sample_calls) == 5
+
+        with ResultStore(tmp_path / "copy.db", salt="s") as store:
+            fresh = Campaign(spec()).run(store, backend=make_backend())
+        assert len(sample_calls) == 10  # the fresh object lowers its own spec
+        assert cached.executed == fresh.executed == 0
+        assert cached.generation == fresh.generation == 2
+        assert result_json(cached) == result_json(fresh)
+        assert cached.report == fresh.report == cold.report
+        assert [c.report for c in cached.cells] == [
+            c.report for c in cold.cells
+        ]
+
+    def test_liveness_queries_reuse_the_lowering(self, tmp_path,
+                                                  sample_calls):
+        campaign = Campaign(warm_smoke_campaign())
+        assert sample_calls == []  # lowering is lazy
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            live = campaign.live_fingerprints(store)
+            keys = campaign.live_frontier_cell_keys()
+            campaign.run(store)
+            assert store.fingerprints() == live
+        assert len(sample_calls) == 1 and len(keys) == 1
 
 
 def store_rows(path):

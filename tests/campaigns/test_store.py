@@ -181,9 +181,10 @@ class TestCodec:
 
 
 class TestDecodeSharing:
-    def test_one_decode_per_distinct_string(self, tmp_path, monkeypatch):
-        # Failures, witnesses and graph-valued outputs of one stored row
-        # name one instance; another graph appears in one output only.
+    @staticmethod
+    def two_graph_report():
+        """A row whose failures, witnesses and graph-valued outputs name
+        one instance; another graph appears in one output only."""
         g = random_k_degenerate(5, 2, seed=3)
         other = path_graph(4)
         report = VerificationReport("p", "SIMASYNC")
@@ -202,24 +203,80 @@ class TestDecodeSharing:
                           minimal_schedule=(1,))
             for s in ("greedy-bits", "beam")
         ]
+        return g, other, report
+
+    @staticmethod
+    def count_decodes(monkeypatch):
         decoded = []
 
         def counting(text):
             decoded.append(text)
             return from_graph6(text)
 
-        with ResultStore(tmp_path / "s.db") as store:
-            store.put("fp", report)
-            monkeypatch.setattr(store_module, "from_graph6", counting)
-            served = store.get("fp")
-        assert sorted(decoded) == sorted([to_graph6(g), to_graph6(other)])
+        monkeypatch.setattr(store_module, "from_graph6", counting)
+        return decoded
+
+    @staticmethod
+    def assert_same_fields(served, report):
         for name in (f.name for f in dataclasses.fields(VerificationReport)):
             assert getattr(served, name) == getattr(report, name), name
+
+    def test_one_decode_per_distinct_string(self, tmp_path, monkeypatch):
+        g, other, report = self.two_graph_report()
+        with ResultStore(tmp_path / "s.db") as store:
+            store.put("fp", report)
+            decoded = self.count_decodes(monkeypatch)
+            served = store.get("fp")
+        assert sorted(decoded) == sorted([to_graph6(g), to_graph6(other)])
+        self.assert_same_fields(served, report)
         shared = served.failures[0].graph
         assert served.failures[1].output is shared
         assert served.failures[2].output[1][0] is shared
         assert all(w.graph is shared for w in served.witnesses)
         assert all(f.graph is shared for f in served.failures)
+
+    def test_seeded_hit_decodes_nothing_of_its_instance(self, tmp_path,
+                                                        monkeypatch):
+        # A real stored task: its witnesses name its own instance only.
+        task = build_plan(sizes=(4,), mode="stress").tasks[0]
+        with ResultStore(tmp_path / "s.db", salt="s") as store:
+            fingerprint = store.fingerprint(task)
+            store.put_outcome(fingerprint, task.execute())
+            unseeded = store.get(fingerprint)
+            decoded = self.count_decodes(monkeypatch)
+            seeded = store.get(fingerprint, graph=task.graph)
+        assert decoded == []
+        assert seeded.witnesses
+        self.assert_same_fields(seeded, unseeded)
+        assert all(w.graph is task.graph for w in seeded.witnesses)
+
+    def test_seeded_hit_still_decodes_other_graphs_once(self, tmp_path,
+                                                        monkeypatch):
+        g, other, report = self.two_graph_report()
+        # An equal graph built separately: the seed is matched by its
+        # graph6 string, not by identity.
+        instance = random_k_degenerate(5, 2, seed=3)
+        with ResultStore(tmp_path / "s.db") as store:
+            store.put("fp", report)
+            decoded = self.count_decodes(monkeypatch)
+            served = store.get("fp", graph=instance)
+        assert decoded == [to_graph6(other)]
+        self.assert_same_fields(served, report)
+        assert all(f.graph is instance for f in served.failures)
+        assert served.failures[2].output[1][0] is instance
+        assert served.failures[2].output[1][1] == other
+
+    def test_seed_the_row_never_names_changes_nothing(self, tmp_path,
+                                                      monkeypatch):
+        g, other, report = self.two_graph_report()
+        with ResultStore(tmp_path / "s.db") as store:
+            store.put("fp", report)
+            decoded = self.count_decodes(monkeypatch)
+            served = store.get("fp", graph=path_graph(3))
+        assert sorted(decoded) == sorted([to_graph6(g), to_graph6(other)])
+        self.assert_same_fields(served, report)
+        assert all(w.graph is served.failures[0].graph
+                   for w in served.witnesses)
 
 
 class TestStore:

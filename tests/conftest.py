@@ -43,3 +43,20 @@ def degenerate_graphs():
         for n in (6, 10, 17)
         for k in (1, 2, 3)
     ]
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """Every ``GraphClass.sample_in_class`` call made during the test,
+    as ``(family, n, seed)``."""
+    from repro.graphs.families import GraphClass
+
+    calls = []
+    original = GraphClass.sample_in_class
+
+    def counting(self, n, seed):
+        calls.append((self.name, n, seed))
+        return original(self, n, seed)
+
+    monkeypatch.setattr(GraphClass, "sample_in_class", counting)
+    return calls

@@ -261,6 +261,37 @@ def _matches_or_rejects(old_builder, cls, n, seed):
             cls.sample_in_class(n, seed)
 
 
+class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--protocol", "build-degenerate", "--sizes", "4"],
+        ["stress", "--protocol", "build-degenerate", "--sizes", "4"],
+        ["campaign", "run", "--quick", "--store", "jobs.db"],
+        ["campaign", "claims"],
+        ["reproduce-all", "--quick"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_non_positive_jobs_is_a_usage_error(self, argv, jobs, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"argument --jobs: worker count must be at least 1, got {jobs}" \
+            in captured.err
+        assert not (tmp_path / "jobs.db").exists()  # nothing ran
+
+    def test_positive_jobs_parse_as_int(self):
+        args = build_parser().parse_args(["sweep", "--protocol", "bfs-sync",
+                                          "--jobs", "3"])
+        assert args.jobs == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--protocol", "bfs-sync",
+                                       "--jobs", "two"])
+
+
 class TestOneFamilyRegistry:
     @pytest.mark.parametrize("name", sorted(OLD_FAMILIES))
     def test_registry_draws_the_old_sweep_graphs(self, name):
@@ -404,6 +435,33 @@ class TestCampaignCommands:
 
         assert main(["campaign", "gc", "--quick", "--store", store]) == 0
         assert "removed 0 stale results, 3 remain" in capsys.readouterr().out
+
+    def test_run_and_gc_sample_each_instance_once(self, tmp_path,
+                                                  sample_calls, capsys):
+        store = str(tmp_path / "once.db")
+        argv = ["--store", store, "--protocol", "build-degenerate",
+                "--protocol", "eob-bfs", "--family", "degenerate2",
+                "--sizes", "4", "6", "--seeds", "0", "1"]
+        instances = [("degenerate2", n, seed)
+                     for _ in range(2) for n in (4, 6) for seed in (0, 1)]
+        assert main(["campaign", "run", *argv]) == 0
+        assert sample_calls == instances
+        sample_calls.clear()
+        assert main(["campaign", "gc", *argv]) == 0
+        assert sample_calls == instances
+        assert "removed 0 stale results, 8 remain" in capsys.readouterr().out
+
+    def test_unsampleable_size_is_a_usage_error(self, tmp_path, capsys):
+        store = tmp_path / "never.db"
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--store", str(store),
+                  "--protocol", "two-cliques", "--family", "two-cliques",
+                  "--sizes", "9"])
+        message = str(exc.value.code)
+        assert message.startswith("campaign: cell two-cliques x "
+                                  "two-cliques-yes: size 9 ")
+        assert capsys.readouterr().out == ""
+        assert not store.exists()  # nothing ran
 
     def test_expect_hit_rate_fails_cold(self, tmp_path, capsys):
         store = str(tmp_path / "cold.db")
