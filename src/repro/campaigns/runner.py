@@ -404,9 +404,11 @@ class Campaign:
 
     The spec is lowered to its ``(cell, plan)`` pairs once, on first use
     (:attr:`plans`), and every run, liveness query and re-run of this
-    object reads those pairs: a fully cached re-run samples no instance
-    and builds no plan.  The lowering lives on the object, not in a
-    process-wide memo, so nothing outlives it and nothing can go stale.
+    object reads those pairs: a fully cached re-run of the same object
+    samples no instance and builds no plan.  A fresh object (each CLI
+    process builds one) samples every instance once, on its first run.
+    The lowering lives on the object, not in a process-wide memo, so
+    nothing outlives it and nothing can go stale.
     """
 
     def __init__(self, spec: CampaignSpec) -> None:

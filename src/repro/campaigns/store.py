@@ -525,8 +525,10 @@ class ResultStore:
         holds it: records naming it share that object and its string is
         never decoded (graph6 is lossless, so the report is equal
         either way).  Any other graph the row names is decoded once;
-        a ``graph`` the row never names changes nothing.  Counts a
-        session hit/miss either way.
+        a ``graph`` the row never names changes nothing.  The campaign
+        runner always passes the task's graph; ``graph=None`` decodes
+        every string and is kept as the reference the seeded read is
+        tested against.  Counts a session hit/miss either way.
         """
         tracer = _trace.active()
         start = time.perf_counter() if tracer is not None else 0.0

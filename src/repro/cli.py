@@ -611,13 +611,18 @@ def _cmd_stress(args) -> int:
     return _run_cells(args, "stress", plans, show)
 
 
-def _campaign_spec(args):
-    """Build a CampaignSpec from CLI arguments (or the --quick preset).
+def _campaign(args):
+    """The :class:`~repro.campaigns.Campaign` of the CLI arguments (or
+    the --quick / --warm-smoke preset), lowered to its plans before
+    anything runs.
 
-    Spec mistakes — unknown cells, fault-budget typos — surface here as
-    clean usage errors (see :func:`_usage_errors`).
+    Spec mistakes — unknown cells, fault-budget typos, sizes a family
+    cannot sample — surface here as clean usage errors (see
+    :func:`_usage_errors`).  The run or liveness query that follows
+    reuses these plans, so each instance is sampled once.
     """
-    from .campaigns import CampaignSpec, quick_campaign, warm_smoke_campaign
+    from .campaigns import (Campaign, CampaignSpec, quick_campaign,
+                            warm_smoke_campaign)
 
     with _usage_errors("campaign"):
         if getattr(args, "quick", False) or getattr(args, "warm_smoke", False):
@@ -630,31 +635,21 @@ def _campaign_spec(args):
                 import dataclasses
 
                 spec = dataclasses.replace(spec, faults=args.faults)
-            return spec
-        if not args.protocols:
+        elif not args.protocols:
             raise SystemExit(
                 "campaign: provide at least one --protocol (or use --quick)"
             )
-        return CampaignSpec(
-            name=args.name,
-            cells=_cli_cells(args, args.families or ["degenerate2"],
-                             allow_deadlock=args.allow_deadlock),
-            mode=args.mode,
-            exhaustive_threshold=args.threshold,
-            score=args.score,
-            faults=args.faults,
-        )
-
-
-def _campaign(args):
-    """The :class:`~repro.campaigns.Campaign` of :func:`_campaign_spec`,
-    lowered to its plans before anything runs: a size a family cannot
-    sample is a usage error.  The run or liveness query that follows
-    reuses these plans, so each instance is sampled once."""
-    from .campaigns import Campaign
-
-    campaign = Campaign(_campaign_spec(args))
-    with _usage_errors("campaign"):
+        else:
+            spec = CampaignSpec(
+                name=args.name,
+                cells=_cli_cells(args, args.families or ["degenerate2"],
+                                 allow_deadlock=args.allow_deadlock),
+                mode=args.mode,
+                exhaustive_threshold=args.threshold,
+                score=args.score,
+                faults=args.faults,
+            )
+        campaign = Campaign(spec)
         campaign.plans  # samples every instance, once
     return campaign
 
