@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Hot-path perf-regression benchmark: sketching and exhaustive enumeration.
 
-Times the two paths the vectorized sketch engine PR optimized and records
+Times the sketch engine (cached public coins, one scalar update loop)
+and exhaustive enumeration, plus the paths listed below, and records
 a trajectory in ``BENCH_perf.json`` at the repo root so later PRs can see
 (and CI can gate on) the speedup relative to the frozen seed baseline:
 
 * ``sketch_n96`` — one full SIMASYNC run of the sketch-connectivity
   protocol on a 96-node random connected graph: message construction for
   all nodes, exact bit accounting, and the Borůvka whiteboard decode.
+  Its longest incidence stream has 16 updates.
   Reported as the median of warm repetitions (reusing cached public-coin
   tables across runs is the engine's designed behavior; the first
   warm-up run pays for populating them).
@@ -105,7 +107,8 @@ from repro.protocols.sketching import (  # noqa: E402
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_perf.json"
 
 #: Median wall-clock seconds of the seed implementation (commit fb0833b),
-#: measured with the same harness before the vectorized engine landed.
+#: measured with the same harness before the cached-coin sketch engine
+#: landed.
 #: Used only for the recorded trajectory, never for CI gating — absolute
 #: numbers do not transfer between machines.
 SEED_BASELINE = {

@@ -47,7 +47,6 @@ from typing import Any, Iterable, Optional
 
 from ..core.execution import ExecutionState
 from ..faults.spec import resolve_faults
-from ..telemetry.stats import observe_table
 from .base import Witness
 
 __all__ = ["Completion", "TableEntry", "TranspositionTable",
@@ -235,7 +234,6 @@ class TranspositionTable:
         table across cells would serve wrong answers, so it raises
         instead.
         """
-        observe_table(self)  # telemetry visibility; one global read
         scope = (graph, self._component_token(protocol), model.name,
                  bit_budget, resolve_faults(faults).canonical())
         if self._scope is None:

@@ -34,26 +34,23 @@ across sketch instances, protocol rounds, nodes, and repeated runs:
   both the update and recovery paths;
 * ``_geom(seed, item)`` — the geometric level hash behind
   :func:`level_of`;
-* ``_cell_seeds(seed, levels)`` — per-level cell seeds of a sampler.
+* ``_cell_seeds(seed, levels)`` / ``_cell_zs(seed, levels)`` — per-level
+  cell seeds and evaluation points of a sampler;
+* ``_column(seed, levels, item)`` — every fingerprint power one unit
+  update of ``item`` adds, level by level.
 
 :class:`L0Sampler` stores its cells as three flat parallel arrays
 (``c0``/``c1``/``fingerprint`` per level) instead of a list of
 per-cell objects, and offers :meth:`L0Sampler.batch_update` which
-sketches a whole ``(items, deltas)`` stream in one pass.  The numbers
-produced are bit-for-bit identical to the original per-cell
-implementation — the caches only eliminate recomputation.
+sketches a whole ``(items, deltas)`` stream in one pass over
+``_column``.  The numbers produced are bit-for-bit identical to
+the original per-cell implementation — the caches only eliminate
+recomputation.
 
-The *stored* aggregates hold Python ints on purpose: fingerprint
-arithmetic multiplies 61-bit residues by signed weights, which would
-overflow fixed-width lanes, and the scalar update loop is the semantic
-authority.  Long update streams, however, take a numpy fast path when
-it is exactly representable: :func:`mulmod61` and :func:`powmod61` do
-the ``mod 2^61 - 1`` arithmetic on paired-uint64 half-products (every
-partial fits 64 bits), and :meth:`L0Sampler.batch_update` falls back to
-the scalar loop whenever the stream's weights exceed the guarded int64
-headroom — so the fast path is an accelerator, never a semantics
-change.  numpy is imported on the first long stream (:func:`_numpy`),
-so a run whose streams are all short never loads it.
+The aggregates hold Python ints on purpose: fingerprint arithmetic
+multiplies 61-bit residues by signed weights, which would overflow
+fixed-width lanes.  There is one update path: vectorising it on paired
+uint64 lanes measured 5–10× slower on streams of 32 or more updates.
 """
 
 from __future__ import annotations
@@ -61,15 +58,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 __all__ = [
     "FIELD_PRIME",
     "OneSparseRecovery",
     "L0Sampler",
     "level_of",
-    "mulmod61",
-    "powmod61",
 ]
 
 #: Field for fingerprints: the Mersenne prime 2^61 - 1.
@@ -128,98 +123,6 @@ def _column(seed: int, levels: int, item: int) -> tuple[int, ...]:
     top = min(_geom(seed, item), levels)
     zs = _cell_zs(seed, levels)
     return tuple(_pow_z(zs[l], item) for l in range(top + 1))
-
-
-#: Streams shorter than this stay on the scalar loop: binding the numpy
-#: lanes costs more than it saves below a few dozen updates.
-_FAST_MIN_ITEMS = 32
-_MASK31 = (1 << 31) - 1
-_MASK30 = (1 << 30) - 1
-
-
-@lru_cache(maxsize=None)
-def _numpy():
-    """numpy, imported on the first long stream, or ``None`` when it is
-    missing.  It is an optional accelerator: the scalar loop is the
-    authority, and short streams never load it."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - the image bakes numpy in
-        return None
-    return numpy
-
-
-def mulmod61(a, b):
-    """``(a * b) % FIELD_PRIME`` on uint64 lanes (vectorized, exact).
-
-    Operands must be reduced residues (``< 2^61``).  Each is split into
-    a 31-bit low and 30-bit high half so every partial product fits a
-    uint64, then the pieces fold with ``2^61 ≡ 1 (mod p)`` (so
-    ``2^62 ≡ 2``).  The property tests pin this lane-for-lane against
-    Python's arbitrary-precision ``(a * b) % FIELD_PRIME``.
-    """
-    np = _numpy()
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    a0 = a & np.uint64(_MASK31)
-    a1 = a >> np.uint64(31)
-    b0 = b & np.uint64(_MASK31)
-    b1 = b >> np.uint64(31)
-    mid = a1 * b0 + a0 * b1
-    # a*b = a1·b1·2^62 + mid·2^31 + a0·b0; reduce the mid term through a
-    # 30/34 split so its shifted halves stay below 2^61 as well.
-    t = (
-        ((a1 * b1) << np.uint64(1))
-        + (mid >> np.uint64(30))
-        + ((mid & np.uint64(_MASK30)) << np.uint64(31))
-        + a0 * b0
-    )
-    p = np.uint64(FIELD_PRIME)
-    t = (t >> np.uint64(61)) + (t & p)
-    t = (t >> np.uint64(61)) + (t & p)
-    return t - np.where(t >= p, p, np.uint64(0))
-
-
-def powmod61(base, exp):
-    """``(base ** exp) % FIELD_PRIME`` on uint64 lanes.
-
-    Vectorized square-and-multiply over the exponent bits; ``base``
-    must hold reduced residues.  Broadcasts like numpy ufuncs do.
-    """
-    np = _numpy()
-    base, exp = np.broadcast_arrays(
-        np.asarray(base, dtype=np.uint64), np.asarray(exp, dtype=np.uint64)
-    )
-    base = base.copy()
-    exp = exp.copy()
-    out = np.ones(base.shape, dtype=np.uint64)
-    while True:
-        odd = (exp & np.uint64(1)).astype(bool)
-        if odd.any():
-            out[odd] = mulmod61(out[odd], base[odd])
-        exp = exp >> np.uint64(1)
-        if not exp.any():
-            return out
-        base = mulmod61(base, base)
-
-
-def _sum_mod61(v):
-    """Exact mod-p sum of a uint64 residue array (entries ``< p``).
-
-    Folds in chunks of eight — ``8 * (p - 1) < 2^64``, so the chunk
-    sums cannot wrap — reducing 8x per pass.
-    """
-    np = _numpy()
-    p = np.uint64(FIELD_PRIME)
-    while v.size > 1:
-        pad = (-v.size) % 8
-        if pad:
-            v = np.concatenate([v, np.zeros(pad, dtype=np.uint64)])
-        v = v.reshape(-1, 8).sum(axis=1, dtype=np.uint64)
-        v = (v >> np.uint64(61)) + (v & p)
-        v = (v >> np.uint64(61)) + (v & p)
-        v = v - np.where(v >= p, p, np.uint64(0))
-    return int(v[0]) if v.size else 0
 
 
 def level_of(seed: int, item: int, max_level: int) -> int:
@@ -309,48 +212,18 @@ class L0Sampler:
     ``≈ log2 k`` retains a single survivor with constant probability, so
     scanning levels sparse-to-dense finds it.
 
-    The per-level aggregates live in three flat parallel arrays; the
-    :attr:`cells` view materializes :class:`OneSparseRecovery` objects on
-    demand for callers that want the object form.
+    The per-level aggregates live in three flat parallel arrays.
     """
 
     __slots__ = ("seed", "levels", "_c0", "_c1", "_fp")
 
-    def __init__(
-        self,
-        seed: int,
-        levels: int,
-        cells: Optional[Sequence[OneSparseRecovery]] = None,
-    ) -> None:
+    def __init__(self, seed: int, levels: int) -> None:
         self.seed = seed
         self.levels = levels
         k = levels + 1
-        if cells:
-            if len(cells) != k:
-                raise ValueError(f"expected {k} cells, got {len(cells)}")
-            expected_seeds = _cell_seeds(seed, levels)
-            for cell, expected in zip(cells, expected_seeds):
-                if cell.seed != expected:
-                    raise ValueError(
-                        "cell seeds do not match the sampler's derived seeds"
-                    )
-            self._c0 = [c.c0 for c in cells]
-            self._c1 = [c.c1 for c in cells]
-            self._fp = [c.fingerprint for c in cells]
-        else:
-            self._c0 = [0] * k
-            self._c1 = [0] * k
-            self._fp = [0] * k
-
-    @property
-    def cells(self) -> list[OneSparseRecovery]:
-        """Object view of the flat per-level aggregates."""
-        return [
-            OneSparseRecovery(s, c0, c1, fp)
-            for s, c0, c1, fp in zip(
-                _cell_seeds(self.seed, self.levels), self._c0, self._c1, self._fp
-            )
-        ]
+        self._c0 = [0] * k
+        self._c1 = [0] * k
+        self._fp = [0] * k
 
     def update(self, item: int, delta: int) -> None:
         if item < 1:
@@ -369,26 +242,11 @@ class L0Sampler:
 
         Equivalent to ``for i, d in zip(items, deltas): self.update(i, d)``
         (linearity makes the order irrelevant), with the seed-derived
-        tables bound once for the entire stream.
-
-        Long streams run the fingerprint arithmetic on paired-uint64
-        numpy lanes (:func:`mulmod61` / :func:`powmod61`) when every
-        intermediate provably fits; otherwise — short streams, missing
-        numpy, or weights past the int64 headroom — the exact scalar
-        loop below runs.  Both paths produce identical aggregates.
+        tables bound once for the entire stream.  A bad item raises
+        ``ValueError`` after the updates before it have landed, exactly
+        as the per-update loop would.
         """
         seed, levels = self.seed, self.levels
-        if not isinstance(items, (list, tuple)):
-            items = list(items)
-        if not isinstance(deltas, (list, tuple)):
-            deltas = list(deltas)
-        if (
-            len(items) == len(deltas)
-            and len(items) >= _FAST_MIN_ITEMS
-            and _numpy() is not None
-            and self._batch_update_fast(items, deltas)
-        ):
-            return
         c0, c1, fp = self._c0, self._c1, self._fp
         column = _column
         for item, delta in zip(items, deltas):
@@ -399,62 +257,6 @@ class L0Sampler:
                 c0[l] += delta
                 c1[l] += weighted
                 fp[l] = (fp[l] + delta * power) % FIELD_PRIME
-
-    def _batch_update_fast(self, items: Sequence[int], deltas: Sequence[int]) -> bool:
-        """Vectorized twin of the scalar ``batch_update`` loop.
-
-        Returns ``False`` without touching any state when the stream
-        needs arbitrary precision (an item or weight past the guarded
-        int64 headroom) or contains an invalid item — the scalar loop
-        then reproduces the exact semantics, including which updates
-        land before a ``ValueError``.  On ``True`` every aggregate has
-        been advanced to exactly what the scalar loop would produce.
-        """
-        np = _numpy()
-        seed, levels = self.seed, self.levels
-        try:
-            it = np.array(items, dtype=np.int64)
-            de = np.array(deltas, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return False
-        if (it < 1).any():
-            return False  # scalar loop raises at the offending update
-        max_item = int(it.max())
-        max_delta = int(np.abs(de).max()) if de.size else 0
-        # cumsum(de * it) must stay inside int64: guard the worst case
-        # with exact Python-int arithmetic before trusting the lanes.
-        if (
-            max_item > _MASK31
-            or max_delta > _MASK31
-            or it.size * max_delta * max_item >= (1 << 62)
-        ):
-            return False
-        top = np.array(
-            [min(_geom(seed, int(i)), levels) for i in items], dtype=np.int64
-        )
-        order = np.argsort(-top, kind="stable")
-        it_s = it[order]
-        de_s = de[order]
-        top_s = top[order]
-        cum_d = np.cumsum(de_s)
-        cum_di = np.cumsum(de_s * it_s)
-        items_u = it_s.astype(np.uint64)
-        deltas_u = (de_s % np.int64(FIELD_PRIME)).astype(np.uint64)
-        zs = _cell_zs(seed, levels)
-        c0, c1, fp = self._c0, self._c1, self._fp
-        for l in range(levels + 1):
-            # Levels contribute to prefixes of the top-descending order:
-            # item i updates cells 0..top_i, so level l sees every item
-            # with top >= l.
-            k = int(np.searchsorted(-top_s, -l, side="right"))
-            if k == 0:
-                break
-            c0[l] += int(cum_d[k - 1])
-            c1[l] += int(cum_di[k - 1])
-            powers = powmod61(np.uint64(zs[l]), items_u[:k])
-            terms = mulmod61(deltas_u[:k], powers)
-            fp[l] = (fp[l] + _sum_mod61(terms)) % FIELD_PRIME
-        return True
 
     def combine(self, other: "L0Sampler") -> "L0Sampler":
         if (other.seed, other.levels) != (self.seed, self.levels):

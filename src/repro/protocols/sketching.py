@@ -32,16 +32,19 @@ tables are computed once and shared:
   protocol objects stop rebuilding specs on every ``message``/``output``
   call;
 * :class:`SketchEngine` (one per spec, also interned) holds the
-  per-round sampler seeds and feeds each node's incidence stream through
-  :meth:`~repro.encoding.l0_sampling.L0Sampler.batch_update`, reusing
-  the level/fingerprint tables across all nodes, rounds, and repeated
-  benchmark runs;
+  per-round sampler seeds and feeds each node's incidence stream (one
+  update per incident edge) through
+  :meth:`~repro.encoding.l0_sampling.L0Sampler.batch_update`, whose one
+  scalar loop reuses the cached level/fingerprint tables across all
+  nodes, rounds, and repeated benchmark runs;
 * :func:`slot_edge` inverts the edge↔slot bijection in closed form
   (``isqrt``) instead of an O(n) walk, and rejects out-of-range slots up
   front.
 
 The sketches produced are bit-for-bit identical to the original
-implementation; golden tests pin that invariant.
+implementation; golden tests pin that invariant at ``n`` 8, 16 and 32
+and on a 48-node instance whose nodes reach degree 46.  The sketch
+protocols import no numpy.
 """
 
 from __future__ import annotations

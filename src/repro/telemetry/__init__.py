@@ -39,12 +39,7 @@ from .session import (
     machine_metadata,
     plan_spec_digest,
 )
-from .stats import (
-    KernelAccumulator,
-    KernelStats,
-    observe_table,
-    watching_tables,
-)
+from .stats import KernelAccumulator, KernelStats
 from .tracer import (
     NULL_SPAN,
     TRACE_ENV,
@@ -82,8 +77,6 @@ __all__ = [
     "NULL_COLLECTION",
     "KernelStats",
     "KernelAccumulator",
-    "observe_table",
-    "watching_tables",
     "Counter",
     "Histogram",
     "MetricsRegistry",

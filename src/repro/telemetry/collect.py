@@ -1,8 +1,9 @@
 """Per-task observation scope: the ``ExecutionTask.execute`` seam.
 
 A :class:`TaskCollection` is the one object a task opens around its
-cell.  It always watches transposition tables and search-context stats
-(their counters are deterministic and cheap to snapshot), and — only
+cell.  It always folds the stats and transposition table of the
+search contexts the cell registers (their counters are deterministic
+and cheap to snapshot), and — only
 when :func:`~repro.telemetry.tracer.tracing_enabled` — hosts a per-task
 :class:`~repro.telemetry.tracer.Tracer` whose frozen payload rides home
 in ``TaskOutcome.telemetry``.  Workers never write shared files: the
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Optional
 
-from .stats import KernelStats, _pop_watch, _push_watch
+from .stats import KernelStats
 from .tracer import Tracer, _pop_active, _push_active, tracing_enabled
 
 __all__ = ["TaskCollection", "NULL_COLLECTION"]
@@ -33,13 +34,10 @@ class TaskCollection:
             Tracer() if tracing_enabled() else None
         )
         self._contexts: list[Any] = []
-        self._watch = None
-        self._prev_watch = None
         self._prev_active = None
         self._span = None
 
     def __enter__(self) -> "TaskCollection":
-        self._watch, self._prev_watch = _push_watch()
         if self.tracer is not None:
             self._prev_active = _push_active(self.tracer)
             task = self.task
@@ -60,15 +58,14 @@ class TaskCollection:
             self._span.__exit__(*exc_info)
         if self.tracer is not None:
             _pop_active(self._prev_active)
-        _pop_watch(self._prev_watch)
         return False
 
     def observe_context(self, context) -> None:
-        """Register a ``SearchContext`` whose cumulative stats the final
-        snapshot folds (observation-only: the context is never read
-        back into the search)."""
+        """Register a ``SearchContext`` whose cumulative stats and
+        table the final snapshot folds (observation-only: the context
+        is never read back into the search)."""
         if context is not None:
-            self._contexts.append(context.stats)
+            self._contexts.append(context)
 
     def finalize(self, outcome):
         """Attach the captured snapshot/payload to ``outcome``.
@@ -78,8 +75,9 @@ class TaskCollection:
         byte-equal to their pre-telemetry selves.
         """
         kernel = KernelStats.capture(
-            self._contexts,
-            self._watch.tables.values() if self._watch is not None else (),
+            [context.stats for context in self._contexts],
+            [context.table for context in self._contexts
+             if context.table is not None],
         )
         telemetry = self.tracer.finish() if self.tracer is not None else None
         if kernel is None and telemetry is None:

@@ -9,25 +9,21 @@ are identical across serial/process backends and traced/untraced runs,
 and tests pin them field for field against the engine's live
 ``SearchStats`` / ``TranspositionTable`` counters.
 
-The table-watch registry here is how private per-cell tables become
-visible without a task attribute: ``TranspositionTable.bind`` calls
-:func:`observe_table` (one global read when nothing watches), and the
-task's collection scope dedupes by object identity.
+A cell's only transposition table is the one on its
+``SearchContext``, so the task's collection scope reads the table off
+the context it already observes.
 
 Leaf module: stdlib only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Iterator, Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "KernelStats",
     "KernelAccumulator",
-    "observe_table",
-    "watching_tables",
 ]
 
 
@@ -101,11 +97,14 @@ class KernelStats:
         return cls(**{k: int(v) for k, v in data.items() if k in names})
 
     @classmethod
-    def capture(cls, stats_list: Iterator, tables) -> "Optional[KernelStats]":
+    def capture(cls, stats_list: Iterable,
+                tables: Iterable) -> "Optional[KernelStats]":
         """Fold live accounting objects (duck-typed ``SearchStats`` and
         transposition tables) into a snapshot; ``None`` when the cell
         observed nothing, so outcome kinds that never touched the
-        search kernel stay equal to their pre-telemetry selves."""
+        search kernel stay equal to their pre-telemetry selves.  Tables
+        are deduplicated by identity: one table shared by several
+        contexts counts once."""
         total = cls()
         for stats in stats_list:
             total = total.merge(cls(
@@ -113,7 +112,7 @@ class KernelStats:
                 searches=stats.searches,
                 restarts=stats.restarts,
             ))
-        for table in tables:
+        for table in {id(table): table for table in tables}.values():
             total = total.merge(cls(
                 table_hits=table.hits,
                 table_misses=table.misses,
@@ -142,55 +141,6 @@ class KernelStats:
                 f"{self.frontier_stores} stores"
             )
         return ", ".join(parts)
-
-
-class _TableWatch:
-    """Identity-deduplicated set of tables seen during one scope."""
-
-    __slots__ = ("tables",)
-
-    def __init__(self) -> None:
-        self.tables: dict[int, Any] = {}
-
-
-_watch: Optional[_TableWatch] = None
-
-
-def observe_table(table) -> None:
-    """Register a transposition table with the watching scope, if any.
-
-    Called from ``TranspositionTable.bind`` — once per search, one
-    global read when nothing watches.  Id-deduplicated, so a shared
-    table bound by four strategies still counts once.
-    """
-    watch = _watch
-    if watch is not None:
-        watch.tables[id(table)] = table
-
-
-def _push_watch() -> "tuple[_TableWatch, Optional[_TableWatch]]":
-    global _watch
-    previous = _watch
-    watch = _TableWatch()
-    _watch = watch
-    return watch, previous
-
-
-def _pop_watch(previous: "Optional[_TableWatch]") -> None:
-    global _watch
-    _watch = previous
-
-
-@contextmanager
-def watching_tables() -> Iterator[_TableWatch]:
-    """Collect every table bound inside the block (tests and ad-hoc
-    instrumentation; tasks use :class:`~repro.telemetry.collect.
-    TaskCollection`, which does the same push/pop inline)."""
-    watch, previous = _push_watch()
-    try:
-        yield watch
-    finally:
-        _pop_watch(previous)
 
 
 class KernelAccumulator:

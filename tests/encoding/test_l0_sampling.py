@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.l0_sampling import (
-    FIELD_PRIME,
     L0Sampler,
     OneSparseRecovery,
     level_of,
@@ -214,62 +213,17 @@ def test_batch_update_is_linear_property(stream, seed):
     assert batched.state() == sequential.state() == left.combine(right).state()
 
 
-numpy = pytest.importorskip("numpy")
-
-from repro.encoding.l0_sampling import (  # noqa: E402
-    _FAST_MIN_ITEMS,
-    mulmod61,
-    powmod61,
-)
-
-
-class TestUint64Kernels:
-    """The paired-uint64 modular kernels vs Python's bignum arithmetic."""
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(min_value=0, max_value=FIELD_PRIME - 1),
-        st.integers(min_value=0, max_value=FIELD_PRIME - 1),
-    )
-    def test_mulmod61_matches_bignum(self, a, b):
-        assert int(mulmod61(a, b)) == (a * b) % FIELD_PRIME
-
-    def test_mulmod61_extremes(self):
-        top = FIELD_PRIME - 1
-        for a, b in [(0, 0), (0, top), (top, top), (1, top),
-                     (1 << 31, 1 << 31), ((1 << 31) - 1, (1 << 31) - 1)]:
-            assert int(mulmod61(a, b)) == (a * b) % FIELD_PRIME
-
-    def test_mulmod61_vectorized(self):
-        rng = random.Random(5)
-        a = [rng.randrange(FIELD_PRIME) for _ in range(257)]
-        b = [rng.randrange(FIELD_PRIME) for _ in range(257)]
-        out = mulmod61(
-            numpy.array(a, dtype=numpy.uint64),
-            numpy.array(b, dtype=numpy.uint64),
-        )
-        assert [int(x) for x in out] == [
-            x * y % FIELD_PRIME for x, y in zip(a, b)
-        ]
-
-    @settings(max_examples=100)
-    @given(
-        st.integers(min_value=0, max_value=FIELD_PRIME - 1),
-        st.integers(min_value=0, max_value=(1 << 48) - 1),
-    )
-    def test_powmod61_matches_bignum(self, base, exp):
-        assert int(powmod61(base, exp)) == pow(base, exp, FIELD_PRIME)
-
-    def test_powmod61_broadcasts(self):
-        exps = numpy.arange(64, dtype=numpy.uint64)
-        out = powmod61(numpy.uint64(3), exps)
-        assert [int(x) for x in out] == [
-            pow(3, e, FIELD_PRIME) for e in range(64)
-        ]
+def _per_update(seed, levels, items, deltas):
+    """The reference: one :meth:`L0Sampler.update` call per item."""
+    ref = L0Sampler(seed=seed, levels=levels)
+    for i, d in zip(items, deltas):
+        ref.update(i, d)
+    return ref
 
 
-class TestFastBatchPath:
-    """The numpy fast path must be bit-identical to the scalar loop."""
+class TestLongStreams:
+    """Streams as long as a high-degree node's incidence list: the
+    batched loop must match one ``update`` call per item."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -280,59 +234,45 @@ class TestFastBatchPath:
                 st.integers(min_value=1, max_value=4000),
                 st.integers(min_value=-9, max_value=9),
             ),
-            min_size=_FAST_MIN_ITEMS,
-            max_size=4 * _FAST_MIN_ITEMS,
+            min_size=32,
+            max_size=128,
         ),
     )
-    def test_fast_path_matches_scalar(self, seed, levels, stream):
+    def test_batch_matches_per_update(self, seed, levels, stream):
         items = [i for i, _ in stream]
         deltas = [d for _, d in stream]
-        fast = L0Sampler(seed=seed, levels=levels)
-        assert fast._batch_update_fast(items, deltas)
-        scalar = L0Sampler(seed=seed, levels=levels)
-        for i, d in zip(items, deltas):
-            scalar.update(i, d)
-        assert fast.state() == scalar.state()
+        batched = L0Sampler(seed=seed, levels=levels)
+        batched.batch_update(items, deltas)
+        assert batched.state() == _per_update(seed, levels, items, deltas).state()
 
-    def test_huge_items_fall_back_exactly(self):
-        """Items past the int64 guard take the scalar loop and still
-        produce the exact aggregates (Python-int authority)."""
-        n = _FAST_MIN_ITEMS + 8
-        items = [(1 << 40) + i for i in range(n)]
-        deltas = [1 if i % 2 else -1 for i in range(n)]
-        via_batch = L0Sampler(seed=11, levels=4)
-        assert not via_batch._batch_update_fast(items, deltas)
-        via_batch.batch_update(items, deltas)
-        scalar = L0Sampler(seed=11, levels=4)
-        for i, d in zip(items, deltas):
-            scalar.update(i, d)
-        assert via_batch.state() == scalar.state()
+    def test_huge_items_are_exact(self):
+        """Items of 2^40 and above keep exact Python-int aggregates."""
+        items = [(1 << 40) + i for i in range(40)]
+        deltas = [1 if i % 2 else -1 for i in range(40)]
+        batched = L0Sampler(seed=11, levels=4)
+        batched.batch_update(items, deltas)
+        assert batched.state() == _per_update(11, 4, items, deltas).state()
 
-    def test_invalid_item_defers_to_scalar_semantics(self):
-        """A bad item mid-stream must leave exactly the scalar loop's
-        partial state behind (updates before the raise land)."""
-        prefix = [7] * _FAST_MIN_ITEMS
+    def test_invalid_item_leaves_the_prefix(self):
+        """A bad item after 32 good ones raises, and the updates before
+        it have landed, exactly as in the per-update loop."""
+        prefix = [7] * 32
         bad = prefix + [0] + [9] * 3
         s = L0Sampler(seed=13, levels=3)
         with pytest.raises(ValueError):
             s.batch_update(bad, [1] * len(bad))
-        ref = L0Sampler(seed=13, levels=3)
-        for i in prefix:
-            ref.update(i, 1)
-        assert s.state() == ref.state()
+        assert s.state() == _per_update(13, 3, prefix, [1] * 32).state()
 
-    def test_long_stream_end_to_end(self):
+    def test_long_stream_with_cancellation(self):
         rng = random.Random(17)
         items = [rng.randrange(1, 10_000) for _ in range(2000)]
         deltas = [rng.choice([-2, -1, 1, 3]) for _ in range(2000)]
-        fast = L0Sampler(seed=19, levels=12)
-        fast.batch_update(items, deltas)
-        scalar = L0Sampler(seed=19, levels=12)
-        for i, d in zip(items, deltas):
-            scalar.update(i, d)
-        assert fast.state() == scalar.state()
+        batched = L0Sampler(seed=19, levels=12)
+        batched.batch_update(items, deltas)
+        scalar = _per_update(19, 12, items, deltas)
+        assert batched.state() == scalar.state()
         # the sketch still recovers a live coordinate after cancellation
-        fast.batch_update(items[:1000], [-d for d in deltas[:1000]])
+        batched.batch_update(items[:1000], [-d for d in deltas[:1000]])
         for i, d in zip(items[:1000], deltas[:1000]):
             scalar.update(i, -d)
-        assert fast.state() == scalar.state()
+        assert batched.state() == scalar.state()

@@ -69,3 +69,29 @@ class TestGoldenSketchOutputs:
         r = run(g, SketchSpanningForestProtocol(shared_seed=seed), SIMASYNC,
                 MinIdScheduler())
         assert sorted(map(list, r.output)) == GOLDEN[str(n)]["spanning_forest"]
+
+
+DENSE = json.loads(
+    (FIXTURE.parent / "sketch_golden_dense.json").read_text()
+)
+
+
+def test_dense_payloads_bit_identical():
+    """Nodes of degree >= 32 feed long incidence streams to
+    ``L0Sampler.batch_update``.  The fixture was captured from the
+    implementation that sketched those streams on vectorised uint64
+    lanes; the scalar loop must reproduce every payload bit."""
+    g = gen.random_connected_graph(DENSE["n"], DENSE["p"],
+                                   seed=DENSE["graph_seed"])
+    assert max(g.degree(v) for v in g.nodes()) == DENSE["max_degree"] >= 32
+    r = run(g, SketchConnectivityProtocol(shared_seed=DENSE["shared_seed"]),
+            SIMASYNC, MinIdScheduler())
+    assert r.success
+    assert [e.bits for e in r.board.entries] == DENSE["payload_bits"]
+    assert [
+        hashlib.sha256(bytes(encode_payload(e.payload))).hexdigest()
+        for e in r.board.entries
+    ] == DENSE["payload_sha256"]
+    assert r.total_bits == DENSE["total_bits"]
+    assert r.max_message_bits == DENSE["max_message_bits"]
+    assert r.output == DENSE["connectivity_output"]

@@ -65,6 +65,23 @@ def test_core_and_adversaries_import_no_numpy():
     assert "numpy" not in loaded
 
 
+def test_sketch_protocol_on_a_dense_graph_loads_no_numpy():
+    """Degree-48 nodes feed 48-update streams to ``L0Sampler``; the
+    sketch protocols run on the standard library alone."""
+    loaded = loaded_after("""
+        from repro.core import SIMASYNC, MinIdScheduler, run
+        from repro.graphs import generators as gen
+        from repro.protocols.sketching import SketchConnectivityProtocol
+
+        g = gen.complete_graph(49)
+        assert min(g.degree(v) for v in g.nodes()) >= 32
+        r = run(g, SketchConnectivityProtocol(shared_seed=3), SIMASYNC,
+                MinIdScheduler())
+        assert r.success and r.output == 1
+    """)
+    assert "numpy" not in loaded
+
+
 def test_trace_manifest_names_numpy_without_loading_it():
     """A traced verdict records the numpy version in its manifest."""
     loaded = loaded_after("""
