@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.l0_sampling import (
+    FIELD_PRIME,
     L0Sampler,
     OneSparseRecovery,
+    _hash64,
     level_of,
 )
 
@@ -276,3 +278,69 @@ class TestLongStreams:
         for i, d in zip(items[:1000], deltas[:1000]):
             scalar.update(i, -d)
         assert batched.state() == scalar.state()
+
+
+def _cell_z(seed, level):
+    """A sampler cell's evaluation point, derived from the public coin
+    without the module's caches."""
+    return _hash64(_hash64(seed, 0xCE11, level), 0x5EED) % (FIELD_PRIME - 2) + 2
+
+
+class TestFingerprintArithmetic:
+    """The cached Python-int field arithmetic against bignum sums taken
+    straight from the definition of each aggregate."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=(1 << 48) - 1),
+        st.integers(min_value=-(1 << 62), max_value=1 << 62),
+    )
+    def test_unit_update_matches_bignum(self, seed, levels, item, delta):
+        s = L0Sampler(seed=seed, levels=levels)
+        s.batch_update([item], [delta])
+        top = level_of(seed, item, levels)
+        expected = []
+        for l in range(levels + 1):
+            if l > top:
+                expected.append((0, 0, 0))
+                continue
+            power = pow(_cell_z(seed, l), item, FIELD_PRIME)
+            expected.append((delta, delta * item, delta * power % FIELD_PRIME))
+        assert s.state() == tuple(expected)
+
+    def test_one_sparse_extremes(self):
+        """Weights at and beyond the field size keep the fingerprint a
+        canonical residue, and a lone coordinate is still recovered."""
+        top = FIELD_PRIME - 1
+        cases = [(1, top), (top, top), (top, -top), (1 << 40, 1 << 70),
+                 ((1 << 31) - 1, -(1 << 61)), (2, FIELD_PRIME)]
+        for item, weight in cases:
+            r = OneSparseRecovery(seed=3)
+            r.update(item, weight)
+            z = _hash64(3, 0x5EED) % (FIELD_PRIME - 2) + 2
+            assert r.fingerprint == weight * pow(z, item, FIELD_PRIME) % FIELD_PRIME
+            assert 0 <= r.fingerprint < FIELD_PRIME
+            assert r.recover() == (item, weight)
+
+    def test_sampler_state_matches_definition(self):
+        """Every level's ``(c0, c1, fingerprint)`` is the bignum sum over
+        the coordinates whose geometric level reaches it."""
+        rng = random.Random(5)
+        items = [rng.randrange(1, FIELD_PRIME) for _ in range(257)]
+        deltas = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(257)]
+        seed, levels = 23, 9
+        s = L0Sampler(seed=seed, levels=levels)
+        s.batch_update(items, deltas)
+        expected = []
+        for l in range(levels + 1):
+            z = _cell_z(seed, l)
+            live = [(i, d) for i, d in zip(items, deltas)
+                    if level_of(seed, i, levels) >= l]
+            expected.append((
+                sum(d for _, d in live),
+                sum(d * i for i, d in live),
+                sum(d * pow(z, i, FIELD_PRIME) for i, d in live) % FIELD_PRIME,
+            ))
+        assert s.state() == tuple(expected)
